@@ -8,8 +8,8 @@ benchmark measures both directions and records them in
 
 * ``noop`` — the disabled-tracer wrapper cost on a representative
   Krylov solve, against a baseline that bypasses the instrumentation
-  entirely (calling the private ``_gmres`` with the shared
-  ``NULL_SPAN``). Acceptance: < 5% overhead.
+  entirely (driving the GMRES core, ``gmres_column``, directly with the
+  default no-op span). Acceptance: < 5% overhead.
 * ``session`` — wall-clock of an end-to-end 3-scan surgical session
   untraced (default ambient disabled tracer) vs fully traced
   (hierarchical spans + metrics + budget monitor), with the number of
@@ -41,8 +41,10 @@ from repro.core.session import SurgicalSession
 from repro.imaging.phantom import make_neurosurgery_case
 from repro.obs.budget import BudgetMonitor
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NULL_SPAN, Tracer
-from repro.solver.gmres import _gmres, gmres
+from repro.obs.trace import Tracer
+from repro.solver.gmres import gmres, gmres_column, run_column
+from repro.solver.operator import AsOperator
+from repro.solver.preconditioner import IdentityPreconditioner
 
 import pytest
 
@@ -92,12 +94,18 @@ def _best_of(fn, reps: int) -> float:
     return best
 
 
+def _uninstrumented_gmres(A, b):
+    """``gmres(A, b, tol=1e-8)`` without the ambient-tracer lookup."""
+    op = AsOperator(A)
+    n = op.shape[0]
+    column = gmres_column(n, b, None, 1e-8, 30, 2000, False)
+    return run_column(column, op.matvec, IdentityPreconditioner(n).solve)
+
+
 def measure_noop_overhead(reps: int = 7) -> dict:
     """Disabled-tracer wrapper cost on a representative GMRES solve."""
     A, b = _bench_solve_inputs()
-    baseline = _best_of(
-        lambda: _gmres(A, b, None, None, 1e-8, 30, 2000, False, NULL_SPAN), reps
-    )
+    baseline = _best_of(lambda: _uninstrumented_gmres(A, b), reps)
     # Public entry point: ambient tracer lookup + enabled check per call.
     wrapped = _best_of(lambda: gmres(A, b, tol=1e-8), reps)
     return {

@@ -482,6 +482,7 @@ class NetworkFrontEnd:
         self._server: asyncio.AbstractServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._pump_task: asyncio.Task | None = None
+        self._drain_task: asyncio.Task | None = None
         self._done: asyncio.Event | None = None
         self._executor = None
         self._thread: threading.Thread | None = None
@@ -556,11 +557,15 @@ class NetworkFrontEnd:
         return self
 
     def stop_from_thread(self, timeout: float = 60.0) -> None:
-        """Drain and join a :meth:`start_in_thread` server."""
+        """Drain and join a :meth:`start_in_thread` server; raise if it outlives ``timeout``."""
         if self._loop is not None and self._thread is not None:
             with contextlib.suppress(RuntimeError):
                 self._loop.call_soon_threadsafe(self.request_drain)
             self._thread.join(timeout)
+            if self._thread.is_alive():
+                raise ValidationError(
+                    f"network front-end did not stop within {timeout:g} s"
+                )
 
     def request_drain(self) -> None:
         """Begin a graceful drain (signal handler / programmatic).
@@ -568,13 +573,20 @@ class NetworkFrontEnd:
         New submissions are refused (``draining``), pending cases get
         :attr:`drain_timeout_s` to reach a terminal status through the
         pump, then the gateway drains (checkpointing in-flight work) and
-        the listener closes. Idempotent.
+        the listener closes. Idempotent, and safe to call from any
+        thread: the drain is scheduled onto the server's event loop.
         """
         if self._draining:
             return
         self._draining = True
         self.metrics.counter("net.drain_requests").inc()
-        asyncio.ensure_future(self._drain())
+        if self._loop is not None:
+            self._loop.call_soon_threadsafe(self._start_drain)
+
+    def _start_drain(self) -> None:
+        # Runs on the loop; the reference keeps the task from being
+        # collected mid-drain (the loop holds tasks weakly).
+        self._drain_task = asyncio.ensure_future(self._drain())
 
     async def _drain(self) -> None:
         deadline = time.monotonic() + self.drain_timeout_s

@@ -2,18 +2,72 @@
 
 The reduced elasticity system is symmetric positive definite, so CG is a
 natural cross-check (and ablation comparator) for the paper's GMRES
-choice.
+choice. :func:`cg_column` is the package's only CG loop, a request
+coroutine like :func:`repro.solver.gmres.gmres_column`, driven one
+vector at a time here and batched in
+:func:`repro.solver.block_conjugate_gradient`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.trace import get_tracer
-from repro.solver.gmres import GMRESResult
+from repro.solver.gmres import (
+    GMRESResult,
+    request,
+    run_column,
+    traced_solve,
+    validate_system,
+    zero_solution,
+)
 from repro.solver.operator import AsOperator
 from repro.solver.preconditioner import IdentityPreconditioner
-from repro.util import ConvergenceError, ShapeError, ValidationError
+from repro.util import ConvergenceError
+
+
+def cg_column(n, b, x0, tol, max_iter, raise_on_fail, solver="cg"):
+    """Preconditioned CG on one right-hand side, as a request coroutine."""
+    b, x = validate_system(n, b, x0, tol)
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return zero_solution(x)
+    r = b - (yield from request("matvec", x))
+    z = yield from request("precond", r)
+    p = z.copy()
+    rz = float(np.dot(r, z))
+    target = tol * b_norm
+    history = [float(np.linalg.norm(r))]
+
+    for it in range(1, max_iter + 1):
+        Ap = yield from request("matvec", p)
+        pAp = float(np.dot(p, Ap))
+        if pAp <= 0:
+            raise ConvergenceError(
+                "CG encountered a non-positive curvature direction: operator is not SPD",
+                iterations=it,
+                residual=history[-1],
+                solver=solver,
+            )
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        rn = float(np.linalg.norm(r))
+        history.append(rn)
+        if rn <= target:
+            return GMRESResult(x, True, it, 0, rn, history)
+        z = yield from request("precond", r)
+        rz_new = float(np.dot(r, z))
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+
+    if raise_on_fail:
+        raise ConvergenceError(
+            f"CG failed to reach tol={tol} in {max_iter} iterations",
+            iterations=max_iter,
+            residual=history[-1],
+            solver=solver,
+        )
+    return GMRESResult(x, False, max_iter, 0, history[-1], history)
 
 
 def conjugate_gradient(
@@ -39,88 +93,12 @@ def conjugate_gradient(
     :func:`repro.solver.gmres`: ``x0`` is shape-validated but the
     returned solution is the zero vector with ``history == [0.0]``.
     """
-    tracer = get_tracer()
-    if not tracer.enabled:
-        return _cg(operator, b, x0, preconditioner, tol, max_iter, raise_on_fail)
-    with tracer.span("cg", kind="solver", tol=tol) as span:
-        result = _cg(operator, b, x0, preconditioner, tol, max_iter, raise_on_fail)
-        span.set(
-            iterations=result.iterations,
-            residual=result.residual_norm,
-            converged=result.converged,
-        )
-        return result
-
-
-def _cg(
-    operator,
-    b: np.ndarray,
-    x0: np.ndarray | None,
-    preconditioner,
-    tol: float,
-    max_iter: int,
-    raise_on_fail: bool,
-) -> GMRESResult:
     A = AsOperator(operator)
     n = A.shape[0]
-    b = np.asarray(b, dtype=float).ravel()
-    if b.shape != (n,):
-        raise ShapeError(f"b must be ({n},), got {b.shape}")
-    if tol <= 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
-    if not np.all(np.isfinite(b)):
-        raise ValidationError(
-            f"b contains {int(np.count_nonzero(~np.isfinite(b)))} non-finite entries"
-        )
     M = preconditioner if preconditioner is not None else IdentityPreconditioner(n)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if x.shape != (n,):
-        raise ShapeError(f"x0 must be ({n},), got {x.shape}")
-    if x0 is not None and not np.all(np.isfinite(x)):
-        raise ValidationError(
-            f"x0 contains {int(np.count_nonzero(~np.isfinite(x)))} non-finite "
-            "entries (poisoned warm start?)"
-        )
 
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        # Zero RHS: exact solution is zero regardless of the (already
-        # shape-validated) x0 — same contract as repro.solver.gmres.
-        return GMRESResult(np.zeros_like(x), True, 0, 0, 0.0, [0.0])
-    r = b - A.matvec(x)
-    z = M.solve(r)
-    p = z.copy()
-    rz = float(np.dot(r, z))
-    target = tol * b_norm
-    history = [float(np.linalg.norm(r))]
+    def run(span):
+        column = cg_column(n, b, x0, tol, max_iter, raise_on_fail)
+        return run_column(column, A.matvec, M.solve)
 
-    for it in range(1, max_iter + 1):
-        Ap = A.matvec(p)
-        pAp = float(np.dot(p, Ap))
-        if pAp <= 0:
-            raise ConvergenceError(
-                "CG encountered a non-positive curvature direction: operator is not SPD",
-                iterations=it,
-                residual=history[-1],
-                solver="cg",
-            )
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
-        rn = float(np.linalg.norm(r))
-        history.append(rn)
-        if rn <= target:
-            return GMRESResult(x, True, it, 0, rn, history)
-        z = M.solve(r)
-        rz_new = float(np.dot(r, z))
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-
-    if raise_on_fail:
-        raise ConvergenceError(
-            f"CG failed to reach tol={tol} in {max_iter} iterations",
-            iterations=max_iter,
-            residual=history[-1],
-            solver="cg",
-        )
-    return GMRESResult(x, False, max_iter, 0, history[-1], history)
+    return traced_solve("cg", run, tol=tol)

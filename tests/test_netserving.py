@@ -15,7 +15,6 @@ without re-execution (exactly-once admission).
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
 
 import pytest
@@ -140,15 +139,23 @@ class TestNetworkRoundTrip:
         with _Server() as server:
             client = NetClient("127.0.0.1", server.port)
             try:
+                # The admitted case holds the drain open while the late
+                # submission arrives. The drain is requested from this
+                # thread, off the server's event loop.
+                assert client.submit(make_request(patient, "case-early"))["accepted"]
                 server.frontend.request_drain()
-                time.sleep(0.1)
                 with pytest.raises(NetError, match="draining"):
                     client.submit(make_request(patient, "case-late"))
                 pong = client.ping()
                 assert pong["draining"] and not pong["ready"]
                 assert pong["reason"] == "draining"
+                # The drain lets the admitted case finish.
+                results = client.wait(timeout=180.0)
+                assert results["case-early"].status == "completed"
             finally:
                 client.close()
+        # The drain ran, so stopping joined the server thread.
+        assert not server.frontend._thread.is_alive()
 
     def test_unknown_preop_key_asks_for_upload(self, patient):
         with _Server() as server:

@@ -7,10 +7,13 @@ faithful parallel execution.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.backend import get_backend
 from repro.fem.bc import DirichletBC
 from repro.fem.material import BRAIN_HOMOGENEOUS
 from repro.machines.cost import VirtualCluster
@@ -25,7 +28,11 @@ from repro.parallel.distributed import (
     distributed_norm,
 )
 from repro.parallel.simulation import simulate_parallel
-from repro.parallel.solver import DistributedBlockJacobi, distributed_gmres
+from repro.parallel.solver import (
+    DistributedBlockJacobi,
+    distributed_block_gmres,
+    distributed_gmres,
+)
 from repro.solver.gmres import gmres
 from repro.util import ShapeError, ValidationError
 
@@ -208,6 +215,108 @@ class TestDistributedGMRES:
         system = build_distributed_system(dec, BRAIN_HOMOGENEOUS, bc_new)
         with pytest.raises(ValidationError):
             DistributedBlockJacobi(system.matrix, factorization="cholesky")
+
+
+def _digest(values) -> str:
+    data = np.ascontiguousarray(np.asarray(values, dtype=float)).tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def four_rank_system(mesh_and_bc):
+    mesh, bc = mesh_and_bc
+    dec = Decomposition.from_partition(mesh, partition_block(mesh, 4))
+    bc_new = DirichletBC(dec.old_to_new[bc.node_ids], bc.displacements)
+    return build_distributed_system(dec, BRAIN_HOMOGENEOUS, bc_new)
+
+
+class TestDistributedAccountingGolden:
+    """Exact solver record and virtual-cluster charges of one solve.
+
+    ``elapsed`` sums per-rank compute and collective time in charge
+    order, so pinning it to the last bit pins the order of every matvec,
+    preconditioner, reduction and axpy charge, not just their totals.
+    The second case restarts twice and ends on the not-converged tail.
+    The ``x`` and ``history`` digests are bit-exact, so a BLAS that rounds
+    dot products differently changes them; the charges depend only on
+    the iteration counts and the charge order.
+    """
+
+    @pytest.mark.skipif(
+        get_backend().name != "numpy",
+        reason="the pinned values were recorded with the numpy reference backend",
+    )
+    @pytest.mark.parametrize(
+        "options, expected",
+        [
+            (
+                dict(tol=1e-6),
+                dict(
+                    converged=True, iterations=25, restarts=1, n_history=26,
+                    x="c0923eb474fdb607", history="d086e079bf2cd8c2",
+                    messages=772, bytes=322880.0, flops=25273272.0,
+                    elapsed=0.1869444, residual=1.90363819501874e-05,
+                ),
+            ),
+            (
+                dict(tol=1e-10, restart=5, max_iter=12),
+                dict(
+                    converged=False, iterations=12, restarts=3, n_history=15,
+                    x="c1e7df99d201c962", history="f19e10da627e09ea",
+                    messages=424, bytes=177344.0, flops=13959936.0,
+                    elapsed=0.1046591636363635, residual=0.012465000756661722,
+                ),
+            ),
+        ],
+        ids=["converged", "restart-and-tail"],
+    )
+    def test_exact_record_and_charges(self, four_rank_system, options, expected):
+        system = four_rank_system
+        cluster = VirtualCluster(DEEP_FLOW, 4)
+        pre = DistributedBlockJacobi(system.matrix, cluster)
+        result = distributed_gmres(
+            system.matrix, system.rhs, pre, telemetry=cluster, **options
+        )
+        observed = dict(
+            converged=result.converged,
+            iterations=result.iterations,
+            restarts=result.restarts,
+            n_history=len(result.history),
+            x=_digest(result.x),
+            history=_digest(result.history),
+            messages=cluster.messages_total,
+            bytes=cluster.bytes_total,
+            flops=cluster.flops_total,
+            elapsed=cluster.elapsed,
+            residual=float(result.residual_norm),
+        )
+        assert observed == expected
+
+    @pytest.mark.parametrize("with_preconditioner", [True, False])
+    @pytest.mark.parametrize(
+        "options", [dict(tol=1e-8), dict(tol=1e-10, restart=5, max_iter=12)]
+    )
+    def test_block_columns_equal_single_solves(
+        self, four_rank_system, with_preconditioner, options
+    ):
+        system = four_rank_system
+        pre = DistributedBlockJacobi(system.matrix) if with_preconditioner else None
+        rng = np.random.default_rng(11)
+        B = np.column_stack([system.rhs, rng.normal(size=system.matrix.n)])
+        x0s = [None, rng.normal(size=system.matrix.n)]
+        block = distributed_block_gmres(
+            system.matrix, B, pre, x0s=x0s, **options
+        )
+        for c, column in enumerate(block):
+            single = distributed_gmres(
+                system.matrix, B[:, c], pre, x0=x0s[c], **options
+            )
+            assert np.array_equal(column.x, single.x)
+            assert column.history == single.history
+            assert (column.converged, column.iterations, column.restarts) == (
+                single.converged, single.iterations, single.restarts
+            )
+            assert column.residual_norm == single.residual_norm
 
 
 class TestDistributedRAS:
