@@ -48,8 +48,10 @@ class PipelineConfig:
         The intraoperative resilience layer's knobs
         (:class:`repro.resilience.ResiliencePolicy`): per-stage retries,
         the solver escalation ladder, boundary validators, and the
-        graceful-degradation bound. Enabled by default; set
-        ``resilience.enabled = False`` for the fail-fast pipeline.
+        graceful-degradation bound. Degrades rather than aborts by
+        default; ``ResiliencePolicy(max_degradation="full-fem",
+        sanitize_inputs=False, stage_retries={})`` is the fail-fast
+        pipeline.
     fault_plan:
         Optional :class:`repro.resilience.FaultPlan` of deterministic
         injected faults (testing/drills); ``None`` injects nothing.

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from repro.obs.trace import Tracer, get_tracer, use_tracer
 from repro.parallel.simulation import (
     ParallelSimulation,
     prepare_solve_context,
-    simulate_parallel,
+    simulate_parallel,  # noqa: F401 - perfbench's layer tracer patches it here
     simulate_parallel_batch,
 )
 from repro.registration.rigid import RegistrationResult, register_rigid
@@ -56,7 +56,7 @@ from repro.resilience.degrade import (
 )
 from repro.resilience.escalation import solve_with_escalation
 from repro.resilience.guards import StageGuard, check_displacement_field
-from repro.resilience.policy import DegradationLevel
+from repro.resilience.policy import DegradationLevel, ResiliencePolicy
 from repro.segmentation.atlas import LocalizationModel
 from repro.segmentation.knn import KNNClassifier
 from repro.segmentation.prototypes import PrototypeSet, select_prototypes
@@ -145,8 +145,8 @@ class IntraoperativeResult:
     degradation:
         :class:`repro.resilience.DegradationReport` describing what the
         resilience layer did for this scan — level delivered, escalation
-        rungs tried, injected faults, recovery cost. ``None`` when the
-        pipeline ran with resilience disabled.
+        rungs tried, injected faults, recovery cost. ``None`` only on a
+        result restored from a checkpoint that recorded no level.
     restored:
         ``True`` when this result was reconstructed from a session
         checkpoint rather than computed in this process. Restored
@@ -188,6 +188,41 @@ class BatchScanItem:
     reference_labels: ImageVolume | None = None
     scan_index: int = 0
     previous: IntraoperativeResult | None = None
+
+
+@dataclass
+class _ScanFront:
+    """Stages 1-3 of one scan: what the solve and the back half consume.
+
+    Fields stay ``None`` past the stage that failed (or was skipped);
+    ``prototypes`` starts as the set passed in.
+    """
+
+    prototypes: PrototypeSet | None
+    rigid: RegistrationResult | None = None
+    segmentation: ImageVolume | None = None
+    correspondence: CorrespondenceResult | None = None
+    target_mask: np.ndarray | None = None
+    preop_centers: np.ndarray | None = None
+    rigid_inverse: RigidTransform | None = None
+
+
+@dataclass
+class _Recovery:
+    """What the resilience layer did for one scan so far.
+
+    ``failure`` is the error that left the scan without a
+    full-resolution result; ``seconds`` the wall time spent recovering.
+    """
+
+    timeline: Timeline
+    report: DegradationReport = field(default_factory=DegradationReport)
+    seconds: float = 0.0
+    failure: ReproError | None = None
+
+    def note(self, text: str) -> None:
+        self.report.notes.append(text)
+        self.timeline.note("resilience: " + text)
 
 
 @dataclass
@@ -316,13 +351,15 @@ class IntraoperativePipeline:
             The previous scan's result, enabling the ``previous-field``
             degradation level when this scan cannot be processed.
 
-        With ``config.resilience.enabled`` (the default) every stage
-        runs under a :class:`repro.resilience.StageGuard`, the solve
-        climbs the escalation ladder on failure, and an unprocessable
-        scan degrades gracefully (coarse FEM / previous field /
-        rigid-only) instead of aborting — the attached
-        :class:`repro.resilience.DegradationReport` records what
-        happened. Disabling resilience restores the fail-fast pipeline.
+        Every stage runs under a :class:`repro.resilience.StageGuard`,
+        the solve climbs the escalation ladder on failure, and an
+        unprocessable scan degrades (coarse FEM / previous field /
+        rigid-only) as far as ``config.resilience`` allows — the
+        attached :class:`repro.resilience.DegradationReport` records
+        what happened. The fail-fast policy
+        (``max_degradation="full-fem"``, ``sanitize_inputs=False``,
+        ``stage_retries={}``) raises the first failure the scan cannot
+        recover from at full fidelity.
 
         When the pipeline carries observability hooks (``tracer``,
         ``budget``, ``metrics`` — or an ambient tracer installed via
@@ -385,14 +422,12 @@ class IntraoperativePipeline:
         m.record_solver_result(result.simulation.solver)
         if result.simulation.cache_stats is not None:
             m.record_cache_stats(result.simulation.cache_stats)
-        if result.degradation is not None:
-            m.counter(f"resilience.level.{result.degradation.label}").inc()
-            if result.degradation.escalated:
-                m.counter("resilience.escalations").inc()
-            if result.degradation.faults:
-                m.counter("resilience.faults_triggered").inc(
-                    len(result.degradation.faults)
-                )
+        report = result.degradation
+        m.counter(f"resilience.level.{report.label}").inc()
+        if report.escalated:
+            m.counter("resilience.escalations").inc()
+        if report.faults:
+            m.counter("resilience.faults_triggered").inc(len(report.faults))
 
     def _process_scan(
         self,
@@ -404,13 +439,21 @@ class IntraoperativePipeline:
         scan_index: int = 0,
         previous: IntraoperativeResult | None = None,
     ) -> IntraoperativeResult:
+        """Guarded orchestration of one scan.
+
+        Image-side stage failures (after per-stage retries) and solve
+        failures (after the escalation ladder) walk the degradation
+        ladder; the only exception raised is when the required level
+        exceeds ``policy.max_degradation`` — an explicit operator
+        request for fail-fast beyond that point.
+        """
         cfg = self.config
         policy = cfg.resilience
-        resilient = policy is not None and policy.enabled
         plan = cfg.fault_plan
+        recovery = _Recovery(timeline)
 
         # Fault injection models the world, not the pipeline: scheduled
-        # scan corruption applies whether or not resilience is enabled.
+        # scan corruption applies whatever the policy.
         if plan is not None:
             logged = len(plan.log)
             corrupted = plan.corrupt_volume(intraop_mri, scan_index)
@@ -419,15 +462,12 @@ class IntraoperativePipeline:
                 for entry in plan.log[logged:]:
                     timeline.note(f"fault injected: {entry}")
 
-        # Input hardening: a fail-fast pipeline rejects non-finite
-        # acquisitions outright; a resilient one sanitizes small damage
-        # and degrades when the scan is mostly garbage.
-        unusable: str | None = None
+        # Input hardening: sanitize small damage when the policy allows
+        # it; otherwise the scan is unusable and must degrade (or, under
+        # a fail-fast policy, raise).
         if intraop_mri.nonfinite_count():
             fraction = intraop_mri.nonfinite_fraction()
-            if not resilient:
-                intraop_mri.validate_finite("intraoperative scan")
-            elif policy.sanitize_inputs and fraction <= policy.max_nonfinite_fraction:
+            if policy.sanitize_inputs and fraction <= policy.max_nonfinite_fraction:
                 intraop_mri, n_fixed = intraop_mri.sanitized()
                 timeline.note(
                     f"input hardening: replaced {n_fixed} non-finite "
@@ -438,23 +478,91 @@ class IntraoperativePipeline:
                     f"intraoperative scan unusable: {fraction:.1%} non-finite "
                     f"voxels (limit {policy.max_nonfinite_fraction:.0%})"
                 )
+                recovery.failure = ValidationError(unusable)
+                recovery.note(unusable)
 
-        if not resilient:
-            return self._process_scan_plain(
-                intraop_mri, preop, prototypes, reference_labels, timeline
+        # Forced degradation floor (load shedding): the serving tier can
+        # stamp a minimum rung on the case so an overloaded shard trades
+        # fidelity for bounded latency instead of rejecting outright.
+        forced = policy.min_degradation
+        front = _ScanFront(prototypes=prototypes)
+        if recovery.failure is None and forced >= DegradationLevel.PREVIOUS_FIELD:
+            # Floor deeper than coarse-FEM: the fallback needs no boundary
+            # conditions, so the whole image-processing front half is
+            # skipped — that is the point of shedding at this rung.
+            recovery.note(f"load shed: forced {forced.label}; image stages skipped")
+        elif recovery.failure is None:
+            front = self._scan_front(
+                intraop_mri, preop, prototypes, reference_labels, recovery, policy
             )
-        return self._process_scan_resilient(
-            intraop_mri,
-            preop,
-            prototypes,
-            reference_labels,
-            timeline,
-            scan_index,
-            previous,
-            unusable,
+
+        # Stage 4 through the escalation ladder. Emergency rungs run on
+        # isolated contexts, and a poisoned warm start is cleared by the
+        # cold rung — the shared per-patient cache survives either way,
+        # so the next scan still gets its warm fast path.
+        simulation = None
+        report = recovery.report
+        if recovery.failure is None and forced > DegradationLevel.FULL_FEM:
+            report.cause = f"load shed: forced {forced.label}"
+            recovery.note(
+                f"load shed: full-resolution solve skipped (floor {forced.label})"
+            )
+        if recovery.failure is None and forced == DegradationLevel.FULL_FEM:
+            deadline = policy.solve_deadline_s
+            if deadline is None and self.budget is not None:
+                deadline = max(self.budget.headroom(), 1.0)
+            with timeline.stage("biomechanical simulation"):
+                bc = DirichletBC(
+                    preop.surface.mesh_nodes, front.correspondence.displacements
+                )
+                outcome = solve_with_escalation(
+                    preop.mesher.mesh,
+                    bc,
+                    n_ranks=cfg.n_ranks,
+                    machine=self.machine,
+                    materials=cfg.materials,
+                    partitioner=cfg.partitioner,
+                    tol=cfg.solver_tol,
+                    restart=cfg.gmres_restart,
+                    max_iter=policy.escalation_max_iter,
+                    context=preop.solve_context,
+                    warm_start=cfg.warm_start,
+                    gate_mm=policy.displacement_gate_mm,
+                    deadline_s=deadline,
+                    faults=plan,
+                    scan_index=scan_index,
+                )
+            report.rungs_tried = outcome.rungs_tried
+            recovery.seconds += sum(a.seconds for a in outcome.attempts if not a.ok)
+            if outcome.succeeded:
+                simulation = outcome.simulation
+                self._note_cache(timeline, preop, simulation)
+                if outcome.escalated:
+                    report.cause = outcome.attempts[0].error or ""
+                    recovery.note(
+                        "solver escalation: "
+                        + " -> ".join(
+                            f"{a.rung}({'ok' if a.ok else 'fail'})"
+                            for a in outcome.attempts
+                        )
+                    )
+                if outcome.rank_failed:
+                    recovery.note(
+                        "rank failure: solve completed on 1 rank (no machine model)"
+                    )
+            else:
+                recovery.failure = ConvergenceError(
+                    outcome.cause or "escalation ladder exhausted",
+                    solver="escalation",
+                    stage="biomechanical simulation",
+                )
+                recovery.note(outcome.cause or "escalation ladder exhausted")
+
+        return self._scan_back(
+            intraop_mri, preop, front, simulation, recovery, policy, scan_index, previous
         )
 
-    # -- shared stage implementations (plain and resilient paths) -------------
+    # -- stage implementations ------------------------------------------------
 
     def _stage_rigid(
         self, intraop_mri: ImageVolume, preop: PreoperativeModel, timeline: Timeline
@@ -558,31 +666,6 @@ class IntraoperativePipeline:
             + f" invalidations={stats.invalidations}]"
         )
 
-    def _stage_simulate(
-        self,
-        preop: PreoperativeModel,
-        correspondence: CorrespondenceResult,
-        timeline: Timeline,
-    ):
-        """Stage 4 — (virtually parallel) biomechanical FEM simulation."""
-        cfg = self.config
-        with timeline.stage("biomechanical simulation"):
-            bc = DirichletBC(preop.surface.mesh_nodes, correspondence.displacements)
-            simulation = simulate_parallel(
-                preop.mesher.mesh,
-                bc,
-                n_ranks=cfg.n_ranks,
-                machine=self.machine,
-                materials=cfg.materials,
-                partitioner=cfg.partitioner,
-                tol=cfg.solver_tol,
-                restart=cfg.gmres_restart,
-                context=preop.solve_context,
-                warm_start=cfg.warm_start,
-            )
-        self._note_cache(timeline, preop, simulation)
-        return simulation
-
     def _stage_resample(
         self, preop: PreoperativeModel, displacement: np.ndarray, timeline: Timeline
     ) -> tuple[np.ndarray, ImageVolume]:
@@ -614,45 +697,230 @@ class IntraoperativePipeline:
             mutual_information(deformed.data, intraop_on_preop, mask=region),
         )
 
-    # -- fail-fast orchestration ----------------------------------------------
+    # -- the two halves every scan runs ---------------------------------------
 
-    def _process_scan_plain(
+    def _scan_front(
         self,
         intraop_mri: ImageVolume,
         preop: PreoperativeModel,
         prototypes: PrototypeSet | None,
         reference_labels: ImageVolume | None,
-        timeline: Timeline,
+        recovery: _Recovery,
+        policy: ResiliencePolicy,
+    ) -> _ScanFront:
+        """Stages 1-3 under per-stage retry guards.
+
+        A failed rigid registration is recoverable in place (identity
+        transform: same-frame acquisitions are the common case); a
+        failure of classification or surface detection leaves no
+        boundary conditions to simulate from and lands in
+        ``recovery.failure``.
+        """
+        timeline = recovery.timeline
+        front = _ScanFront(prototypes=prototypes)
+        guard = StageGuard("rigid registration", policy.retry_for("rigid registration"))
+        try:
+            front.rigid, transform = guard.run(
+                self._stage_rigid, intraop_mri, preop, timeline
+            )
+        except ReproError as exc:
+            recovery.seconds += guard.last_report.seconds
+            transform = RigidTransform.identity()
+            recovery.note(f"rigid registration failed ({exc}); using identity transform")
+        try:
+            guard = StageGuard(
+                "tissue classification", policy.retry_for("tissue classification")
+            )
+            front.prototypes, front.segmentation = guard.run(
+                self._stage_classify,
+                intraop_mri,
+                preop,
+                prototypes,
+                reference_labels,
+                transform,
+                timeline,
+            )
+            guard = StageGuard(
+                "surface displacement",
+                policy.retry_for("surface displacement"),
+                validator=lambda out: check_displacement_field(
+                    out[0].displacements,
+                    policy.displacement_gate_mm,
+                    "surface displacement",
+                ),
+            )
+            (
+                front.correspondence,
+                front.target_mask,
+                front.preop_centers,
+                front.rigid_inverse,
+            ) = guard.run(
+                self._stage_surface, preop, front.segmentation, transform, timeline
+            )
+        except ReproError as exc:
+            recovery.seconds += guard.last_report.seconds
+            recovery.failure = exc
+            recovery.note(f"{type(exc).__name__}: {exc}")
+        return front
+
+    def _scan_back(
+        self,
+        intraop_mri: ImageVolume,
+        preop: PreoperativeModel,
+        front: _ScanFront,
+        simulation: ParallelSimulation | None,
+        recovery: _Recovery,
+        policy: ResiliencePolicy,
+        scan_index: int,
+        previous: IntraoperativeResult | None,
     ) -> IntraoperativeResult:
-        """The pre-resilience pipeline: any stage failure aborts the scan."""
-        rigid_result, transform = self._stage_rigid(intraop_mri, preop, timeline)
-        prototypes, segmentation = self._stage_classify(
-            intraop_mri, preop, prototypes, reference_labels, transform, timeline
-        )
-        correspondence, target_mask, preop_centers, rigid_inverse = self._stage_surface(
-            preop, segmentation, transform, timeline
-        )
-        simulation = self._stage_simulate(preop, correspondence, timeline)
-        grid_disp, deformed = self._stage_resample(
-            preop, simulation.displacement, timeline
-        )
-        rigid_rms, sim_rms, rigid_mi, sim_mi = self._match_metrics(
-            preop, intraop_mri, deformed, rigid_inverse, preop_centers, target_mask
-        )
+        """Stage 5, the degradation ladder, match metrics and the result.
+
+        ``simulation`` is the full-resolution solve, or ``None`` when the
+        front half, the solve or a load-shed floor left none; then the
+        ladder delivers the best fallback ``policy`` allows, and raises
+        ``recovery.failure`` when it allows none.
+        """
+        cfg = self.config
+        plan = cfg.fault_plan
+        timeline = recovery.timeline
+        report = recovery.report
+        forced = policy.min_degradation
+
+        # Stage 5 (only meaningful with a full-resolution solution; the
+        # fallbacks produce their own grid field and deformed volume).
+        grid_disp = None
+        deformed = None
+        if simulation is not None:
+            guard = StageGuard(
+                "visualization resample", policy.retry_for("visualization resample")
+            )
+            try:
+                grid_disp, deformed = guard.run(
+                    self._stage_resample, preop, simulation.displacement, timeline
+                )
+            except ReproError as exc:
+                recovery.seconds += guard.last_report.seconds
+                recovery.failure = exc
+                simulation = None
+                recovery.note(f"visualization resample failed: {exc}")
+
+        # Degradation ladder: coarse FEM needs boundary conditions;
+        # previous-field needs a previous scan; rigid-only always works.
+        if simulation is None:
+            fallback = None
+            if (
+                front.correspondence is not None
+                and policy.allows(DegradationLevel.COARSE_FEM)
+                and DegradationLevel.COARSE_FEM >= forced
+            ):
+                t0 = time.perf_counter()
+                try:
+                    with timeline.stage("coarse-fem fallback"):
+                        fallback = coarse_fem_fallback(
+                            preop.labels,
+                            preop.mri,
+                            preop.mesher,
+                            preop.surface,
+                            front.correspondence.displacements,
+                            brain_labels=cfg.brain_labels,
+                            materials=cfg.materials,
+                            cell_mm=cfg.mesh_cell_mm,
+                            coarse_factor=policy.coarse_factor,
+                            tol=policy.coarse_tol,
+                            restart=cfg.gmres_restart,
+                            max_iter=policy.escalation_max_iter,
+                            gate_mm=policy.displacement_gate_mm,
+                        )
+                except ReproError as exc:
+                    recovery.note(f"coarse-fem fallback failed: {exc}")
+                recovery.seconds += time.perf_counter() - t0
+            if (
+                fallback is None
+                and previous is not None
+                and policy.allows(DegradationLevel.PREVIOUS_FIELD)
+                and DegradationLevel.PREVIOUS_FIELD >= forced
+            ):
+                t0 = time.perf_counter()
+                with timeline.stage("previous-field fallback"):
+                    fallback = previous_field_fallback(previous)
+                recovery.seconds += time.perf_counter() - t0
+            if fallback is None and policy.allows(DegradationLevel.RIGID_ONLY):
+                t0 = time.perf_counter()
+                with timeline.stage("rigid-only fallback"):
+                    fallback = rigid_only_fallback(
+                        preop.mri, preop.mesher.mesh.n_nodes
+                    )
+                recovery.seconds += time.perf_counter() - t0
+            if fallback is None:
+                # The operator bounded degradation above what this scan
+                # needs: honor the fail-fast request.
+                if recovery.failure is not None:
+                    raise recovery.failure
+                raise ValidationError(
+                    "degradation required but disallowed by max_degradation"
+                )
+            report.level = fallback.level
+            if not report.cause:
+                report.cause = (
+                    str(recovery.failure) if recovery.failure is not None else ""
+                )
+            recovery.note(fallback.note)
+            simulation = fallback.simulation
+            nodal_displacement = fallback.nodal_displacement
+            grid_disp = fallback.grid_displacement
+            deformed = fallback.deformed_mri
+        else:
+            nodal_displacement = simulation.displacement
+
+        # Stubs for whatever the failure path skipped, so every consumer
+        # of IntraoperativeResult keeps working on degraded scans.
+        segmentation = front.segmentation
+        if segmentation is None:
+            segmentation = ImageVolume(
+                np.zeros(intraop_mri.shape, dtype=np.int16),
+                intraop_mri.spacing,
+                intraop_mri.origin,
+            )
+        correspondence = front.correspondence
+        if correspondence is None:
+            correspondence = stub_correspondence(preop.surface)
+
+        if front.rigid_inverse is not None and front.target_mask is not None:
+            rigid_rms, sim_rms, rigid_mi, sim_mi = self._match_metrics(
+                preop,
+                intraop_mri,
+                deformed,
+                front.rigid_inverse,
+                front.preop_centers,
+                front.target_mask,
+            )
+        else:
+            rigid_rms = sim_rms = rigid_mi = sim_mi = float("nan")
+
+        report.wall_seconds = recovery.seconds
+        if plan is not None:
+            report.faults = [
+                s.describe() for s in plan.triggered if s.scan == scan_index
+            ]
+        if report.degraded or report.escalated:
+            timeline.note("resilience summary: " + report.summary())
+
         return IntraoperativeResult(
             deformed_mri=deformed,
-            nodal_displacement=simulation.displacement,
+            nodal_displacement=nodal_displacement,
             grid_displacement=grid_disp,
             segmentation=segmentation,
-            rigid=rigid_result,
+            rigid=front.rigid,
             correspondence=correspondence,
             simulation=simulation,
             timeline=timeline,
-            prototypes=prototypes,
+            prototypes=front.prototypes,
             match_rigid_rms=rigid_rms,
             match_simulated_rms=sim_rms,
             match_rigid_mi=rigid_mi,
             match_simulated_mi=sim_mi,
+            degradation=report,
         )
 
     # -- batched orchestration -------------------------------------------------
@@ -674,22 +942,24 @@ class IntraoperativePipeline:
         matrix and the preconditioner factors stream once per Krylov
         round for the whole batch.
 
-        The arithmetic is the fail-fast (plain) path, so a member's
-        displacement field is bit-identical to a serial
-        :meth:`process_scan` run with resilience disabled and the same
-        warm-start vector (``x0s`` entry; the shared context's own
+        Each member runs the same guarded front and back halves as
+        :meth:`process_scan`, so a member's result — displacement
+        fields, match metrics and its full-fem
+        :class:`repro.resilience.DegradationReport` — is bit-identical
+        to a serial :meth:`process_scan` run with the same warm-start
+        vector (``x0s`` entry; the shared context's own
         ``last_solution`` memory is never read or written here — the
         caller owns each member's warm chain, see
         :func:`batch_warm_vector`).
 
-        Failure isolation is per member: a member whose image stages,
-        solve slot, or resample raises gets its *exception* in the
-        returned list — the caller re-runs just that member through the
-        serial (resilient) path — and members carrying non-finite scans
-        are deferred the same way without being attempted (input
-        hardening and fault injection are serial-path concerns). Budget
-        verdicts are not computed for batched members
-        (``budget_verdict`` stays ``None``).
+        Failure isolation is per member, and a batched member never
+        degrades: a member whose image stages, solve slot, or resample
+        fails gets its *exception* in the returned list — the caller
+        re-runs just that member through the serial (degrading) path —
+        and members carrying non-finite scans are deferred the same way
+        without being attempted (input hardening and fault injection are
+        serial-path concerns). Budget verdicts are not computed for
+        batched members (``budget_verdict`` stays ``None``).
 
         Returns a list with one :class:`IntraoperativeResult` or
         exception per item, in order.
@@ -702,10 +972,15 @@ class IntraoperativePipeline:
             x0s = [None] * m
         if len(x0s) != m:
             raise ValidationError(f"x0s must have {m} entries, got {len(x0s)}")
+        policy = replace(
+            cfg.resilience,
+            max_degradation=DegradationLevel.FULL_FEM,
+            min_degradation=DegradationLevel.FULL_FEM,
+        )
         tracer = self._tracer()
         results: list = [None] * m
-        timelines = [Timeline(tracer=tracer) for _ in items]
-        fronts: list[tuple | None] = [None] * m
+        recoveries = [_Recovery(Timeline(tracer=tracer)) for _ in items]
+        fronts: dict[int, _ScanFront] = {}
         with use_tracer(tracer), tracer.span(
             "process_scan_batch", kind="pipeline", n_members=m
         ) as span:
@@ -717,41 +992,26 @@ class IntraoperativePipeline:
                     )
                     continue
                 try:
-                    rigid_result, transform = self._stage_rigid(
-                        item.intraop_mri, preop, timelines[i]
-                    )
-                    prototypes, segmentation = self._stage_classify(
+                    front = self._scan_front(
                         item.intraop_mri,
                         preop,
                         item.prototypes,
                         item.reference_labels,
-                        transform,
-                        timelines[i],
-                    )
-                    (
-                        correspondence,
-                        target_mask,
-                        preop_centers,
-                        rigid_inverse,
-                    ) = self._stage_surface(preop, segmentation, transform, timelines[i])
-                    fronts[i] = (
-                        rigid_result,
-                        transform,
-                        prototypes,
-                        segmentation,
-                        correspondence,
-                        target_mask,
-                        preop_centers,
-                        rigid_inverse,
+                        recoveries[i],
+                        policy,
                     )
                 except Exception as exc:  # noqa: BLE001 - member isolation boundary
                     results[i] = exc
-            live = [i for i in range(m) if fronts[i] is not None]
-            sims: dict[int, object] = {}
-            if live:
+                    continue
+                if recoveries[i].failure is not None:
+                    results[i] = recoveries[i].failure
+                else:
+                    fronts[i] = front
+            if fronts:
+                live = list(fronts)
                 bcs = [
                     DirichletBC(
-                        preop.surface.mesh_nodes, fronts[i][4].displacements
+                        preop.surface.mesh_nodes, fronts[i].correspondence.displacements
                     )
                     for i in live
                 ]
@@ -760,7 +1020,7 @@ class IntraoperativePipeline:
                 with ExitStack() as stack:
                     for i in live:
                         stack.enter_context(
-                            timelines[i].stage("biomechanical simulation")
+                            recoveries[i].timeline.stage("biomechanical simulation")
                         )
                     batch = simulate_parallel_batch(
                         preop.mesher.mesh,
@@ -776,343 +1036,36 @@ class IntraoperativePipeline:
                         seed_from_bank=seed_from_bank,
                         isolate_errors=True,
                     )
-                sims = dict(zip(live, batch))
-            for i in live:
-                sim = sims[i]
-                if not isinstance(sim, ParallelSimulation):
-                    results[i] = sim  # the member's captured solve exception
-                    continue
-                (
-                    rigid_result,
-                    transform,
-                    prototypes,
-                    segmentation,
-                    correspondence,
-                    target_mask,
-                    preop_centers,
-                    rigid_inverse,
-                ) = fronts[i]
-                self._note_cache(timelines[i], preop, sim)
-                try:
-                    grid_disp, deformed = self._stage_resample(
-                        preop, sim.displacement, timelines[i]
-                    )
-                    rigid_rms, sim_rms, rigid_mi, sim_mi = self._match_metrics(
-                        preop,
-                        items[i].intraop_mri,
-                        deformed,
-                        rigid_inverse,
-                        preop_centers,
-                        target_mask,
-                    )
-                except Exception as exc:  # noqa: BLE001 - member isolation boundary
-                    results[i] = exc
-                    continue
-                results[i] = IntraoperativeResult(
-                    deformed_mri=deformed,
-                    nodal_displacement=sim.displacement,
-                    grid_displacement=grid_disp,
-                    segmentation=segmentation,
-                    rigid=rigid_result,
-                    correspondence=correspondence,
-                    simulation=sim,
-                    timeline=timelines[i],
-                    prototypes=prototypes,
-                    match_rigid_rms=rigid_rms,
-                    match_simulated_rms=sim_rms,
-                    match_rigid_mi=rigid_mi,
-                    match_simulated_mi=sim_mi,
-                )
-                self._record_scan_metrics(results[i], timelines[i])
+                for i, sim in zip(live, batch):
+                    if not isinstance(sim, ParallelSimulation):
+                        results[i] = sim  # the member's captured solve exception
+                        continue
+                    recovery = recoveries[i]
+                    # The joint solve is the ladder's first rung.
+                    recovery.report.rungs_tried = [
+                        "warm-gmres" if sim.warm_started else "cold-gmres"
+                    ]
+                    self._note_cache(recovery.timeline, preop, sim)
+                    try:
+                        results[i] = self._scan_back(
+                            items[i].intraop_mri,
+                            preop,
+                            fronts[i],
+                            sim,
+                            recovery,
+                            policy,
+                            items[i].scan_index,
+                            items[i].previous,
+                        )
+                    except Exception as exc:  # noqa: BLE001 - member isolation boundary
+                        results[i] = exc
+                        continue
+                    self._record_scan_metrics(results[i], recovery.timeline)
             n_solved = sum(
                 isinstance(r, IntraoperativeResult) for r in results
             )
             span.set(n_solved=n_solved, n_deferred=m - n_solved)
         return results
-
-    # -- resilient orchestration ----------------------------------------------
-
-    def _process_scan_resilient(
-        self,
-        intraop_mri: ImageVolume,
-        preop: PreoperativeModel,
-        prototypes: PrototypeSet | None,
-        reference_labels: ImageVolume | None,
-        timeline: Timeline,
-        scan_index: int,
-        previous: IntraoperativeResult | None,
-        unusable: str | None,
-    ) -> IntraoperativeResult:
-        """Guarded orchestration: always return a result, never abort.
-
-        Image-side stage failures (after per-stage retries) and solve
-        failures (after the escalation ladder) walk the degradation
-        ladder; the only exception raised is when the required level
-        exceeds ``policy.max_degradation`` — an explicit operator
-        request for fail-fast beyond that point.
-        """
-        cfg = self.config
-        policy = cfg.resilience
-        plan = cfg.fault_plan
-        report = DegradationReport()
-        recovery_seconds = 0.0
-        # Forced degradation floor (load shedding): the serving tier can
-        # stamp a minimum rung on the case so an overloaded shard trades
-        # fidelity for bounded latency instead of rejecting outright.
-        forced = policy.min_degradation
-
-        def note(text: str) -> None:
-            report.notes.append(text)
-            timeline.note("resilience: " + text)
-
-        transform = RigidTransform.identity()
-        rigid_result: RegistrationResult | None = None
-        segmentation: ImageVolume | None = None
-        correspondence: CorrespondenceResult | None = None
-        target_mask = preop_centers = rigid_inverse = None
-        failure: ReproError | None = None
-
-        if unusable is not None:
-            failure = ValidationError(unusable)
-            note(unusable)
-        elif forced >= DegradationLevel.PREVIOUS_FIELD:
-            # Floor deeper than coarse-FEM: the fallback needs no boundary
-            # conditions, so the whole image-processing front half is
-            # skipped — that is the point of shedding at this rung.
-            note(f"load shed: forced {forced.label}; image stages skipped")
-        else:
-            # Stages 1-3 under per-stage retry guards. A failed rigid
-            # registration is recoverable in place (identity transform:
-            # same-frame acquisitions are the common case); failures of
-            # classification or surface detection leave no boundary
-            # conditions to simulate from and divert to the
-            # degradation ladder below.
-            guard = StageGuard(
-                "rigid registration", policy.retry_for("rigid registration")
-            )
-            try:
-                rigid_result, transform = guard.run(
-                    self._stage_rigid, intraop_mri, preop, timeline
-                )
-            except ReproError as exc:
-                recovery_seconds += guard.last_report.seconds
-                transform = RigidTransform.identity()
-                rigid_result = None
-                note(f"rigid registration failed ({exc}); using identity transform")
-            try:
-                guard = StageGuard(
-                    "tissue classification", policy.retry_for("tissue classification")
-                )
-                prototypes, segmentation = guard.run(
-                    self._stage_classify,
-                    intraop_mri,
-                    preop,
-                    prototypes,
-                    reference_labels,
-                    transform,
-                    timeline,
-                )
-                guard = StageGuard(
-                    "surface displacement",
-                    policy.retry_for("surface displacement"),
-                    validator=lambda out: check_displacement_field(
-                        out[0].displacements,
-                        policy.displacement_gate_mm,
-                        "surface displacement",
-                    ),
-                )
-                (
-                    correspondence,
-                    target_mask,
-                    preop_centers,
-                    rigid_inverse,
-                ) = guard.run(self._stage_surface, preop, segmentation, transform, timeline)
-            except ReproError as exc:
-                recovery_seconds += guard.last_report.seconds
-                failure = exc
-                note(f"{type(exc).__name__}: {exc}")
-
-        # Stage 4 through the escalation ladder. Emergency rungs run on
-        # isolated contexts, and a poisoned warm start is cleared by the
-        # cold rung — the shared per-patient cache survives either way,
-        # so the next scan still gets its warm fast path.
-        simulation = None
-        fallback = None
-        if failure is None and forced > DegradationLevel.FULL_FEM:
-            report.cause = f"load shed: forced {forced.label}"
-            note(f"load shed: full-resolution solve skipped (floor {forced.label})")
-        if failure is None and forced == DegradationLevel.FULL_FEM:
-            deadline = policy.solve_deadline_s
-            if deadline is None and self.budget is not None:
-                deadline = max(self.budget.headroom(), 1.0)
-            with timeline.stage("biomechanical simulation"):
-                bc = DirichletBC(
-                    preop.surface.mesh_nodes, correspondence.displacements
-                )
-                outcome = solve_with_escalation(
-                    preop.mesher.mesh,
-                    bc,
-                    n_ranks=cfg.n_ranks,
-                    machine=self.machine,
-                    materials=cfg.materials,
-                    partitioner=cfg.partitioner,
-                    tol=cfg.solver_tol,
-                    restart=cfg.gmres_restart,
-                    max_iter=policy.escalation_max_iter,
-                    context=preop.solve_context,
-                    warm_start=cfg.warm_start,
-                    gate_mm=policy.displacement_gate_mm,
-                    deadline_s=deadline,
-                    faults=plan,
-                    scan_index=scan_index,
-                )
-            report.rungs_tried = outcome.rungs_tried
-            recovery_seconds += sum(a.seconds for a in outcome.attempts if not a.ok)
-            if outcome.succeeded:
-                simulation = outcome.simulation
-                self._note_cache(timeline, preop, simulation)
-                if outcome.escalated:
-                    report.cause = outcome.attempts[0].error or ""
-                    note(
-                        "solver escalation: "
-                        + " -> ".join(
-                            f"{a.rung}({'ok' if a.ok else 'fail'})"
-                            for a in outcome.attempts
-                        )
-                    )
-                if outcome.rank_failed:
-                    note("rank failure: solve completed on 1 rank (no machine model)")
-            else:
-                failure = ConvergenceError(
-                    outcome.cause or "escalation ladder exhausted",
-                    solver="escalation",
-                    stage="biomechanical simulation",
-                )
-                note(outcome.cause or "escalation ladder exhausted")
-
-        # Stage 5 (only meaningful with a full-resolution solution; the
-        # fallbacks produce their own grid field and deformed volume).
-        grid_disp = None
-        deformed = None
-        if simulation is not None:
-            guard = StageGuard(
-                "visualization resample", policy.retry_for("visualization resample")
-            )
-            try:
-                grid_disp, deformed = guard.run(
-                    self._stage_resample, preop, simulation.displacement, timeline
-                )
-            except ReproError as exc:
-                recovery_seconds += guard.last_report.seconds
-                failure = exc
-                simulation = None
-                note(f"visualization resample failed: {exc}")
-
-        # Degradation ladder: coarse FEM needs boundary conditions;
-        # previous-field needs a previous scan; rigid-only always works.
-        if simulation is None:
-            if (
-                correspondence is not None
-                and policy.allows(DegradationLevel.COARSE_FEM)
-                and DegradationLevel.COARSE_FEM >= forced
-            ):
-                t0 = time.perf_counter()
-                try:
-                    with timeline.stage("coarse-fem fallback"):
-                        fallback = coarse_fem_fallback(
-                            preop.labels,
-                            preop.mri,
-                            preop.mesher,
-                            preop.surface,
-                            correspondence.displacements,
-                            brain_labels=cfg.brain_labels,
-                            materials=cfg.materials,
-                            cell_mm=cfg.mesh_cell_mm,
-                            coarse_factor=policy.coarse_factor,
-                            tol=policy.coarse_tol,
-                            restart=cfg.gmres_restart,
-                            max_iter=policy.escalation_max_iter,
-                            gate_mm=policy.displacement_gate_mm,
-                        )
-                except ReproError as exc:
-                    note(f"coarse-fem fallback failed: {exc}")
-                recovery_seconds += time.perf_counter() - t0
-            if (
-                fallback is None
-                and previous is not None
-                and policy.allows(DegradationLevel.PREVIOUS_FIELD)
-                and DegradationLevel.PREVIOUS_FIELD >= forced
-            ):
-                t0 = time.perf_counter()
-                with timeline.stage("previous-field fallback"):
-                    fallback = previous_field_fallback(previous)
-                recovery_seconds += time.perf_counter() - t0
-            if fallback is None and policy.allows(DegradationLevel.RIGID_ONLY):
-                t0 = time.perf_counter()
-                with timeline.stage("rigid-only fallback"):
-                    fallback = rigid_only_fallback(
-                        preop.mri, preop.mesher.mesh.n_nodes
-                    )
-                recovery_seconds += time.perf_counter() - t0
-            if fallback is None:
-                # The operator bounded degradation above what this scan
-                # needs: honor the fail-fast request.
-                raise failure if failure is not None else ValidationError(
-                    "degradation required but disallowed by max_degradation"
-                )
-            report.level = fallback.level
-            if not report.cause:
-                report.cause = str(failure) if failure is not None else ""
-            note(fallback.note)
-            simulation = fallback.simulation
-            nodal_displacement = fallback.nodal_displacement
-            grid_disp = fallback.grid_displacement
-            deformed = fallback.deformed_mri
-        else:
-            nodal_displacement = simulation.displacement
-
-        # Stubs for whatever the failure path skipped, so every consumer
-        # of IntraoperativeResult keeps working on degraded scans.
-        if segmentation is None:
-            segmentation = ImageVolume(
-                np.zeros(intraop_mri.shape, dtype=np.int16),
-                intraop_mri.spacing,
-                intraop_mri.origin,
-            )
-        if correspondence is None:
-            correspondence = stub_correspondence(preop.surface)
-
-        if rigid_inverse is not None and target_mask is not None:
-            rigid_rms, sim_rms, rigid_mi, sim_mi = self._match_metrics(
-                preop, intraop_mri, deformed, rigid_inverse, preop_centers, target_mask
-            )
-        else:
-            rigid_rms = sim_rms = rigid_mi = sim_mi = float("nan")
-
-        report.wall_seconds = recovery_seconds
-        if plan is not None:
-            report.faults = [
-                s.describe() for s in plan.triggered if s.scan == scan_index
-            ]
-        if report.degraded or report.escalated:
-            timeline.note("resilience summary: " + report.summary())
-
-        return IntraoperativeResult(
-            deformed_mri=deformed,
-            nodal_displacement=nodal_displacement,
-            grid_displacement=grid_disp,
-            segmentation=segmentation,
-            rigid=rigid_result,
-            correspondence=correspondence,
-            simulation=simulation,
-            timeline=timeline,
-            prototypes=prototypes,
-            match_rigid_rms=rigid_rms,
-            match_simulated_rms=sim_rms,
-            match_rigid_mi=rigid_mi,
-            match_simulated_mi=sim_mi,
-            degradation=report,
-        )
 
 
 def batch_warm_vector(result: IntraoperativeResult | object) -> np.ndarray | None:

@@ -35,7 +35,6 @@ from repro.core.pipeline import (
 )
 from repro.imaging.volume import ImageVolume
 from repro.obs.flight import get_flight_recorder
-from repro.obs.trace import get_tracer
 from repro.persist.store import SessionStore
 from repro.segmentation.prototypes import PrototypeSet
 from repro.util import ValidationError, format_table
@@ -175,23 +174,36 @@ class SurgicalSession:
         crash at any point leaves the checkpoint resumable at the last
         committed scan.
         """
+        item = self._begin_scan(intraop_mri, reference_labels)
+        with self.pipeline._tracer().span("scan", kind="session", index=item.scan_index):
+            result = self.pipeline.process_scan(
+                item.intraop_mri,
+                self.preop,
+                prototypes=item.prototypes,
+                reference_labels=item.reference_labels,
+                scan_index=item.scan_index,
+                previous=item.previous,
+            )
+        self._finish_scan(item.scan_index, result)
+        return result
+
+    def _begin_scan(
+        self, intraop_mri: ImageVolume, reference_labels: ImageVolume | None = None
+    ) -> BatchScanItem:
+        """Journal the next scan's input write-ahead; returns its pipeline inputs."""
         scan = self.n_scans
         if self.store is not None:
             self.store.journal_begin(scan, intraop_mri)
-        tracer = (
-            self.pipeline.tracer
-            if self.pipeline.tracer is not None
-            else get_tracer()
+        return BatchScanItem(
+            intraop_mri=intraop_mri,
+            prototypes=self._prototypes,
+            reference_labels=reference_labels,
+            scan_index=scan,
+            previous=self.history[-1] if self.history else None,
         )
-        with tracer.span("scan", kind="session", index=scan):
-            result = self.pipeline.process_scan(
-                intraop_mri,
-                self.preop,
-                prototypes=self._prototypes,
-                reference_labels=reference_labels,
-                scan_index=scan,
-                previous=self.history[-1] if self.history else None,
-            )
+
+    def _finish_scan(self, scan: int, result: IntraoperativeResult) -> None:
+        """Adopt a processed scan into the session and commit it atomically."""
         # Scan isolation: a degraded scan must not poison the session's
         # cross-scan state. Prototypes are only carried forward from
         # scans whose image stages actually ran (``result.prototypes``
@@ -209,7 +221,6 @@ class SurgicalSession:
                 context=self.preop.solve_context,
             )
             self.store.crash_point(scan, "commit")
-        return result
 
     def checkpoint(self, checkpoint_dir=None):
         """Persist the session's current state; returns the store's root.
@@ -392,23 +403,8 @@ def process_batch_round(
                 "batched sessions must share one preoperative model "
                 "(coalescing groups cases by preop_key)"
             )
-    items = []
-    for session, intraop_mri in entries:
-        scan = session.n_scans
-        if session.store is not None:
-            session.store.journal_begin(scan, intraop_mri)
-        items.append(
-            BatchScanItem(
-                intraop_mri=intraop_mri,
-                prototypes=session._prototypes,
-                scan_index=scan,
-                previous=session.history[-1] if session.history else None,
-            )
-        )
-    tracer = (
-        lead.pipeline.tracer if lead.pipeline.tracer is not None else get_tracer()
-    )
-    with tracer.span(
+    items = [session._begin_scan(intraop_mri) for session, intraop_mri in entries]
+    with lead.pipeline._tracer().span(
         "scan_batch",
         kind="session",
         n_members=len(entries),
@@ -417,23 +413,7 @@ def process_batch_round(
         results = lead.pipeline.process_scan_batch(
             preop, items, x0s=x0s, seed_from_bank=seed_from_bank
         )
-    out: list = []
     for (session, _), item, result in zip(entries, items, results):
-        if not isinstance(result, IntraoperativeResult):
-            out.append(result)
-            continue
-        if result.prototypes is not None:
-            session._prototypes = result.prototypes
-        session.history.append(result)
-        _note_scan_complete(result, item.scan_index)
-        if session.store is not None:
-            session.store.crash_point(item.scan_index, "solve")
-            session.store.commit_scan(
-                item.scan_index,
-                result,
-                prototypes=session._prototypes,
-                context=session.preop.solve_context,
-            )
-            session.store.crash_point(item.scan_index, "commit")
-        out.append(result)
-    return out
+        if isinstance(result, IntraoperativeResult):
+            session._finish_scan(item.scan_index, result)
+    return results

@@ -144,7 +144,6 @@ def config_to_manifest(config) -> dict:
     out["materials"] = repr(config.materials)
     policy = config.resilience
     out["resilience"] = {
-        "enabled": bool(policy.enabled),
         "max_degradation": int(policy.max_degradation),
         "min_degradation": int(policy.min_degradation),
     }
@@ -187,8 +186,6 @@ def config_from_manifest(data: dict, base=None):
             f"({recorded}); pass a matching config to resume/replay"
         )
     resilience = data.get("resilience") or {}
-    if "enabled" in resilience:
-        config.resilience.enabled = bool(resilience["enabled"])
     if "max_degradation" in resilience:
         config.resilience.max_degradation = DegradationLevel(
             int(resilience["max_degradation"])
@@ -197,6 +194,13 @@ def config_from_manifest(data: dict, base=None):
         config.resilience.min_degradation = DegradationLevel(
             int(resilience["min_degradation"])
         )
+    if resilience.get("enabled") is False:
+        # Older manifests recorded a resilience on/off switch; "off"
+        # was the fail-fast pipeline, which never shed load.
+        policy = config.resilience
+        policy.max_degradation = policy.min_degradation = DegradationLevel.FULL_FEM
+        policy.sanitize_inputs = False
+        policy.stage_retries = {}
     plan_data = data.get("fault_plan")
     if plan_data is not None:
         config.fault_plan = FaultPlan(

@@ -82,11 +82,15 @@ def _default_stage_retries() -> dict[str, RetryPolicy]:
 class ResiliencePolicy:
     """Settings for the intraoperative resilience layer.
 
+    The defaults degrade as far as rigid-only rather than abort. The
+    fail-fast policy is ``max_degradation="full-fem"``,
+    ``sanitize_inputs=False`` and ``stage_retries={}``: a scan then
+    raises the first failure it cannot recover from at full fidelity
+    (a non-finite scan, an image stage or resample error, a solve the
+    escalation ladder cannot converge).
+
     Parameters
     ----------
-    enabled:
-        Master switch; off restores the pre-resilience fail-fast
-        pipeline exactly.
     stage_retries:
         Per-stage :class:`RetryPolicy` (stages absent run once).
     max_degradation:
@@ -127,7 +131,6 @@ class ResiliencePolicy:
         full solve: the coarse mesh already bounds accuracy).
     """
 
-    enabled: bool = True
     stage_retries: dict[str, RetryPolicy] = field(
         default_factory=_default_stage_retries
     )

@@ -64,6 +64,11 @@ from repro.serving.shard import AutoscalePolicy, ConsistentHashRing, Shard
 from repro.util import ValidationError, format_table
 
 
+def _worker_label(shard: Shard, worker_id: int) -> str:
+    """Telemetry lane of one shard's worker; also names its flight spool."""
+    return f"{shard.label}-worker{worker_id}"
+
+
 def _retry_jitter(case_id: str, attempt: int) -> float:
     """Deterministic jitter fraction in [0, 1) for a re-admission."""
     digest = hashlib.blake2b(
@@ -106,7 +111,8 @@ class ShardGateway:
         ``None`` adapts from the EWMA estimates (never below 5 s), so
         legitimately long solves are not shot.
     metrics / tracer / telemetry / flight_dir / start_method / drain_dir:
-        As on :class:`repro.serving.SessionServer`.
+        As on :class:`repro.serving.SessionServer`; worker flight rings
+        are spooled as ``shard<k>-worker<id>.json``.
     coalesce_window_s / coalesce_max_batch:
         Scheduler coalescing, as on the single-host server (off by
         default): same-``preop_key`` cases — which the ring routes to
@@ -243,10 +249,10 @@ class ShardGateway:
             Path(self.flight_dir) / "gateway.json", reason, context=context
         )
 
-    def _worker_flight_dump(self, worker_id: int) -> str | None:
-        if self.flight_dir is None:
+    def _worker_flight_dump(self, shard: Shard, worker_id: int | None) -> str | None:
+        if self.flight_dir is None or worker_id is None:
             return None
-        spool = Path(self.flight_dir) / f"worker-{worker_id}.json"
+        spool = Path(self.flight_dir) / f"{_worker_label(shard, worker_id)}.json"
         return str(spool) if spool.is_file() else None
 
     def _backlog_seconds(self) -> float:
@@ -550,7 +556,7 @@ class ShardGateway:
                 request.trace_context = TraceContext.from_tracer(
                     self._trace(),
                     parent_span_id=self._case_span_id(request.case_id),
-                    process_label=f"{shard.label}-worker{handle.worker_id}",
+                    process_label=_worker_label(shard, handle.worker_id),
                 )
                 request.flight_dir = self.flight_dir
             shard.pool.dispatch(handle, request)
@@ -607,7 +613,7 @@ class ShardGateway:
                 request.trace_context = TraceContext.from_tracer(
                     self._trace(),
                     parent_span_id=self._case_span_id(request.case_id),
-                    process_label=f"{shard.label}-worker{handle.worker_id}",
+                    process_label=_worker_label(shard, handle.worker_id),
                 )
                 request.flight_dir = self.flight_dir
             requests.append(request)
@@ -850,13 +856,24 @@ class ShardGateway:
                         worker=handle.worker_id,
                         attempts=self._attempts.get(member.case_id, 1),
                         checkpoint=member.checkpoint_dir,
-                        flight_dump=self._worker_flight_dump(handle.worker_id),
+                        flight_dump=self._worker_flight_dump(shard, handle.worker_id),
                         batch_id=batch_id,
                         batch_size=len(members),
                     )
 
-    def _readmit(self, request: CaseRequest, cause: str) -> None:
-        """Bounded re-admission with capped exponential backoff + jitter."""
+    def _readmit(
+        self,
+        request: CaseRequest,
+        cause: str,
+        shard: Shard | None = None,
+        worker_id: int | None = None,
+    ) -> None:
+        """Bounded re-admission with capped exponential backoff + jitter.
+
+        ``shard``/``worker_id`` name the worker that lost the case (a
+        death or a hang); a case failing here then carries that worker
+        and its flight-recorder post-mortem.
+        """
         self._building.pop(request.case_id, None)
         attempts = self._attempts.get(request.case_id, 1)
         if attempts >= self.max_attempts:
@@ -873,8 +890,10 @@ class ShardGateway:
                     f"{cause}; re-admission budget exhausted "
                     f"({attempts} attempts)"
                 ),
+                worker=worker_id,
                 attempts=attempts,
                 checkpoint=request.checkpoint_dir,
+                flight_dump=self._worker_flight_dump(shard, worker_id),
             )
             return
         delay = min(self.retry_cap_s, self.retry_base_s * 2.0 ** (attempts - 1))
@@ -931,6 +950,8 @@ class ShardGateway:
                     self._readmit(
                         member,
                         f"worker {worker_id} (shard {shard.shard_id}) died",
+                        shard,
+                        worker_id,
                     )
 
     def _hang_grace(self) -> float:
@@ -977,6 +998,8 @@ class ShardGateway:
                         member,
                         f"worker {handle.worker_id} (shard {shard.shard_id}) "
                         f"hung (silent > {grace:.1f} s)",
+                        shard,
+                        handle.worker_id,
                     )
 
     # -- health ---------------------------------------------------------------
@@ -1177,7 +1200,7 @@ class ShardGateway:
                         worker=handle.worker_id,
                         attempts=self._attempts.get(member.case_id, 1),
                         checkpoint=member.checkpoint_dir,
-                        flight_dump=self._worker_flight_dump(handle.worker_id),
+                        flight_dump=self._worker_flight_dump(shard, handle.worker_id),
                     )
         self.metrics.counter("serving.drains").inc()
         self._closed = True

@@ -127,199 +127,9 @@ def _apply_shed(request: CaseRequest) -> None:
     )
 
 
-def _case_telemetry(request: CaseRequest, worker_id: int):
-    """The case's telemetry harness, or ``None`` for a dark request."""
-    if request.trace_context is None:
-        return None
-    from repro.obs.telemetry import CaseTelemetry
-
-    return CaseTelemetry(request.trace_context, worker=worker_id)
-
-
-def _flight_spool(request: CaseRequest, worker_id: int) -> Path | None:
-    if request.flight_dir is None:
-        return None
-    return Path(request.flight_dir) / f"worker-{worker_id}.json"
-
-
-def _spool_flight(telemetry, spool: Path | None, reason: str, **context) -> str | None:
-    """Persist the worker's flight ring (atomic; survives a later SIGKILL)."""
-    if telemetry is None or spool is None:
-        return None
-    telemetry.flight.dump(spool, reason, context=context)
-    return str(spool)
-
-
-def _serve_case(
-    request: CaseRequest,
-    preop_cache: dict,
-    drain_event,
-    drain_dir: str,
-    worker_id: int,
-    beat=None,
-) -> CaseResult:
-    """Run one case to completion (or drain) inside a worker process.
-
-    When the request carries a trace context the whole case runs inside
-    a :class:`repro.obs.telemetry.CaseTelemetry` harness: pipeline spans
-    and metrics are collected locally and shipped back on the result as
-    a telemetry frame, and the flight-recorder ring is persisted to the
-    request's ``flight_dir`` after every scan — so a worker killed
-    mid-case still leaves its last completed ring on disk.
-    """
-    from contextlib import nullcontext
-
-    from repro.core.session import SurgicalSession
-
-    telemetry = _case_telemetry(request, worker_id)
-    spool = _flight_spool(request, worker_id)
-    flight_dump = None
-
-    def finish(result: CaseResult, error: str | None = None) -> CaseResult:
-        if telemetry is not None:
-            result.telemetry = telemetry.frame(error=error)
-        result.flight_dump = flight_dump
-        return result
-
-    t_start = time.perf_counter()
-    outcomes = []
-    preop_seconds = 0.0
-    cache_hit = False
-    checkpoint = request.checkpoint_dir
-    try:
-        _apply_shed(request)
-        with telemetry if telemetry is not None else nullcontext():
-            if telemetry is not None:
-                telemetry.flight.note(
-                    "case.start",
-                    case_id=request.case_id,
-                    worker=worker_id,
-                    n_scans=request.n_scans,
-                )
-            resuming = (
-                checkpoint is not None
-                and (Path(checkpoint) / "MANIFEST.json").is_file()
-            )
-            if resuming:
-                session, outcomes, preop_seconds = _resume_case(
-                    request, worker_id, telemetry
-                )
-                if telemetry is not None:
-                    telemetry.flight.note(
-                        "case.resume",
-                        case_id=request.case_id,
-                        restored_scans=len(outcomes),
-                    )
-            else:
-                key = request.preop_key()
-                preop = preop_cache.get(key)
-                cache_hit = preop is not None
-                pipeline = _build_pipeline(request.config, telemetry)
-                if cache_hit and preop.solve_context is not None:
-                    # Case isolation: the cached build is patient state, the
-                    # warm memory is case state. Reset makes reuse
-                    # numerically invisible (bit-identical to a cold build).
-                    preop.solve_context.reset_warm_state()
-                if not cache_hit:
-                    t0 = time.perf_counter()
-                    preop = pipeline.prepare_preoperative(
-                        request.preop_mri, request.preop_labels
-                    )
-                    preop_seconds = time.perf_counter() - t0
-                    preop_cache[key] = preop
-                session = SurgicalSession.begin(
-                    pipeline,
-                    request.preop_mri,
-                    request.preop_labels,
-                    checkpoint_dir=checkpoint,
-                    app={"case_id": request.case_id},
-                    preop=preop,
-                )
-            for index in range(session.n_scans, request.n_scans):
-                if beat is not None:
-                    # Liveness beat between scans: a wedged worker stops
-                    # beating, which is how the parent tells "long solve"
-                    # from "hung" without killing legitimate work.
-                    beat()
-                if drain_event.is_set():
-                    root = session.checkpoint(
-                        None
-                        if session.store is not None
-                        else str(Path(drain_dir) / request.case_id)
-                    )
-                    flight_dump = _spool_flight(
-                        telemetry, spool, "drain", case_id=request.case_id, scan=index
-                    )
-                    return finish(
-                        CaseResult(
-                            case_id=request.case_id,
-                            status=STATUS_DRAINED,
-                            detail=f"drained after scan {index - 1} -> {root}",
-                            worker=worker_id,
-                            scans=outcomes,
-                            service_seconds=time.perf_counter() - t_start,
-                            preop_cache_hit=cache_hit,
-                            preop_seconds=preop_seconds,
-                            checkpoint=str(root),
-                        )
-                    )
-                result = session.process(request.scans[index])
-                outcomes.append(outcome_from_result(index, result))
-                flight_dump = _spool_flight(
-                    telemetry, spool, "scan", case_id=request.case_id, scan=index
-                )
-            # Healthy scans on the resilient path still carry the
-            # "full-fem" label; only deeper rungs count as degraded.
-            degraded = sorted(
-                {
-                    o.degradation
-                    for o in outcomes
-                    if o.degradation not in (None, "full-fem")
-                }
-            )
-            return finish(
-                CaseResult(
-                    case_id=request.case_id,
-                    status=STATUS_DEGRADED if degraded else STATUS_COMPLETED,
-                    detail="ok" if not degraded else "degraded: " + ", ".join(degraded),
-                    worker=worker_id,
-                    scans=outcomes,
-                    service_seconds=time.perf_counter() - t_start,
-                    preop_cache_hit=cache_hit,
-                    preop_seconds=preop_seconds,
-                    checkpoint=checkpoint,
-                )
-            )
-    except Exception as exc:  # noqa: BLE001 - the boundary must not leak
-        detail = f"{type(exc).__name__}: {exc}"
-        if telemetry is not None:
-            telemetry.flight.note(
-                "case.fault", case_id=request.case_id, error=detail
-            )
-        dumped = _spool_flight(
-            telemetry, spool, "fault", case_id=request.case_id, error=detail
-        )
-        flight_dump = dumped if dumped is not None else flight_dump
-        return finish(
-            CaseResult(
-                case_id=request.case_id,
-                status=STATUS_FAILED,
-                detail=detail,
-                worker=worker_id,
-                scans=outcomes,
-                service_seconds=time.perf_counter() - t_start,
-                preop_cache_hit=cache_hit,
-                preop_seconds=preop_seconds,
-                checkpoint=checkpoint,
-                error_traceback=traceback.format_exc(limit=8),
-            ),
-            error=detail,
-        )
-
-
 @dataclass
-class _BatchMember:
-    """Worker-side bookkeeping for one case inside a coalesced batch."""
+class _Member:
+    """Worker-side bookkeeping for one case being served."""
 
     request: CaseRequest
     telemetry: object = None
@@ -353,19 +163,28 @@ class _BatchMember:
 
 
 def _serve_batch(
-    batch: BatchRequest,
+    requests: list[CaseRequest],
+    batch_id: str | None,
+    deadline_monotonics: list,
     preop_cache: dict,
     drain_event,
     drain_dir: str,
     worker_id: int,
     beat=None,
 ) -> list[CaseResult]:
-    """Serve a coalesced batch of same-patient cases in lockstep rounds.
+    """Serve same-patient cases in lockstep scan rounds.
 
-    Per-member setup mirrors :func:`_serve_case` — telemetry harness,
-    shed floor, resume-or-begin against the shared preop cache — then
-    the members advance one scan per round, every round's FEM systems
-    solving as ONE multi-RHS batch through
+    When a request carries a trace context its case runs inside a
+    :class:`repro.obs.telemetry.CaseTelemetry` harness: pipeline spans
+    and metrics are collected locally and shipped back on the result as
+    a telemetry frame, and the flight-recorder ring is persisted to the
+    request's ``flight_dir`` after every scan — so a worker killed
+    mid-case still leaves its last completed ring on disk.
+
+    Each member resumes its checkpoint or begins a session on the
+    worker's shared preop cache; then the members advance one scan per
+    round, and every round with two or more joint members solves its
+    FEM systems as ONE multi-RHS batch through
     :func:`repro.core.session.process_batch_round`.
 
     Members the joint path cannot honor run *serially inside the same
@@ -376,9 +195,9 @@ def _serve_batch(
     model save/restore the solve context's warm memory around each scan
     so every member keeps the exact warm-start chain of a lone serial
     run; joint members chain explicitly through
-    :func:`repro.core.pipeline.batch_warm_vector`. A batch that dwindles
-    to one live joint member continues on the serial path — bit-identical
-    to an uncoalesced dispatch.
+    :func:`repro.core.pipeline.batch_warm_vector`. A round with one
+    live joint member runs it on the serial path — bit-identical to an
+    uncoalesced dispatch.
 
     Failure, deadline and drain handling are all per member: one
     member's exception fails only that member; a member whose
@@ -391,68 +210,77 @@ def _serve_batch(
 
     from repro.core.pipeline import batch_warm_vector
     from repro.core.session import SurgicalSession, process_batch_round
+    from repro.obs.telemetry import CaseTelemetry
 
-    members = [_BatchMember(request=request) for request in batch.members]
+    members = [_Member(request=request) for request in requests]
     shared_context = None
 
-    def harness(member: _BatchMember):
-        return member.telemetry if member.telemetry is not None else nullcontext()
-
-    def finish(member: _BatchMember, result: CaseResult, error=None) -> None:
-        result.batch_id = batch.batch_id
-        result.batch_size = len(batch.members)
+    def finish(member: _Member, status: str, detail: str, checkpoint, **extra) -> None:
+        result = CaseResult(
+            case_id=member.request.case_id,
+            status=status,
+            detail=detail,
+            worker=worker_id,
+            scans=member.outcomes,
+            service_seconds=time.perf_counter() - member.t_start,
+            preop_cache_hit=member.cache_hit,
+            preop_seconds=member.preop_seconds,
+            checkpoint=checkpoint,
+            batch_id=batch_id,
+            batch_size=len(members),
+            flight_dump=member.flight_dump,
+            **extra,
+        )
         if member.telemetry is not None:
-            result.telemetry = member.telemetry.frame(error=error)
-        result.flight_dump = member.flight_dump
+            result.telemetry = member.telemetry.frame(
+                error=detail if status == STATUS_FAILED else None
+            )
         member.result = result
 
-    def fail(member: _BatchMember, exc: Exception) -> None:
+    def dump_flight(member: _Member, reason: str, **context) -> None:
+        """Persist the member's flight ring (atomic; survives a later SIGKILL)."""
+        if member.spool is None:
+            return
+        context = {"case_id": member.request.case_id, **context}
+        member.telemetry.flight.dump(member.spool, reason, context=context)
+        member.flight_dump = str(member.spool)
+
+    def fail(member: _Member, exc: Exception) -> None:
         detail = f"{type(exc).__name__}: {exc}"
         if member.telemetry is not None:
             member.telemetry.flight.note(
                 "case.fault", case_id=member.request.case_id, error=detail
             )
-        dumped = _spool_flight(
-            member.telemetry,
-            member.spool,
-            "fault",
-            case_id=member.request.case_id,
-            error=detail,
-        )
-        member.flight_dump = dumped if dumped is not None else member.flight_dump
+        dump_flight(member, "fault", error=detail)
         finish(
             member,
-            CaseResult(
-                case_id=member.request.case_id,
-                status=STATUS_FAILED,
-                detail=detail,
-                worker=worker_id,
-                scans=member.outcomes,
-                service_seconds=time.perf_counter() - member.t_start,
-                preop_cache_hit=member.cache_hit,
-                preop_seconds=member.preop_seconds,
-                checkpoint=member.request.checkpoint_dir,
-                error_traceback=traceback.format_exc(limit=8),
-            ),
-            error=detail,
+            STATUS_FAILED,
+            detail,
+            member.request.checkpoint_dir,
+            error_traceback=traceback.format_exc(limit=8),
         )
 
-    # -- per-member setup (mirrors _serve_case) ------------------------------
+    # -- per-member setup ----------------------------------------------------
     for member in members:
         request = member.request
         member.t_start = time.perf_counter()
         try:
             _apply_shed(request)
-            member.telemetry = _case_telemetry(request, worker_id)
-            member.spool = _flight_spool(request, worker_id)
-            with harness(member):
+            if request.trace_context is not None:
+                member.telemetry = CaseTelemetry(request.trace_context, worker=worker_id)
+            if request.flight_dir is not None and member.telemetry is not None:
+                # Named by the lane label stamped at dispatch, unique per
+                # (shard, worker): pools sharing one flight_dir never
+                # overwrite each other's post-mortems.
+                member.spool = Path(request.flight_dir) / f"{member.telemetry.label}.json"
+            with member.telemetry or nullcontext():
                 if member.telemetry is not None:
                     member.telemetry.flight.note(
                         "case.start",
                         case_id=request.case_id,
                         worker=worker_id,
                         n_scans=request.n_scans,
-                        batch=batch.batch_id,
+                        batch=batch_id,
                     )
                 checkpoint = request.checkpoint_dir
                 resuming = (
@@ -466,138 +294,114 @@ def _serve_batch(
                         _resume_case(request, worker_id, member.telemetry)
                     )
                     member.serial = True
-                else:
-                    key = request.preop_key()
-                    preop = preop_cache.get(key)
-                    member.cache_hit = preop is not None
-                    pipeline = _build_pipeline(request.config, member.telemetry)
-                    if not member.cache_hit:
-                        t0 = time.perf_counter()
-                        preop = pipeline.prepare_preoperative(
-                            request.preop_mri, request.preop_labels
+                    if member.telemetry is not None:
+                        member.telemetry.flight.note(
+                            "case.resume",
+                            case_id=request.case_id,
+                            restored_scans=len(member.outcomes),
                         )
-                        member.preop_seconds = time.perf_counter() - t0
-                        preop_cache[key] = preop
-                    member.session = SurgicalSession.begin(
-                        pipeline,
-                        request.preop_mri,
-                        request.preop_labels,
-                        checkpoint_dir=checkpoint,
-                        app={"case_id": request.case_id},
-                        preop=preop,
+                    continue
+                key = request.preop_key()
+                preop = preop_cache.get(key)
+                member.cache_hit = preop is not None
+                pipeline = _build_pipeline(request.config, member.telemetry)
+                if member.cache_hit and preop.solve_context is not None:
+                    # Case isolation: the cached build is patient state,
+                    # the warm memory is case state. Reset makes reuse
+                    # numerically invisible (bit-identical to a cold
+                    # build); afterwards every member owns its chain
+                    # explicitly (x0 / warm_mem).
+                    preop.solve_context.reset_warm_state()
+                if not member.cache_hit:
+                    t0 = time.perf_counter()
+                    preop = pipeline.prepare_preoperative(
+                        request.preop_mri, request.preop_labels
                     )
-                    member.shares_context = True
-                    shared_context = preop.solve_context
-                    config = request.config
-                    if request.shed_level or (
-                        config is not None and config.fault_plan is not None
-                    ):
-                        # Per-case degradation state the joint plain path
-                        # cannot honor — serve serially within the batch.
-                        member.serial = True
+                    member.preop_seconds = time.perf_counter() - t0
+                    preop_cache[key] = preop
+                member.session = SurgicalSession.begin(
+                    pipeline,
+                    request.preop_mri,
+                    request.preop_labels,
+                    checkpoint_dir=checkpoint,
+                    app={"case_id": request.case_id},
+                    preop=preop,
+                )
+                member.shares_context = True
+                shared_context = preop.solve_context
+                config = request.config
+                if request.shed_level or (
+                    config is not None and config.fault_plan is not None
+                ):
+                    # Per-case degradation state the joint path cannot
+                    # honor — serve serially within the rounds.
+                    member.serial = True
         except Exception as exc:  # noqa: BLE001 - member isolation boundary
             fail(member, exc)
 
-    # Case isolation on the shared model: the cached build is patient
-    # state, the warm memory is case state. Reset once before the rounds;
-    # afterwards every member owns its chain explicitly (x0 / warm_mem).
-    if shared_context is not None:
-        shared_context.reset_warm_state()
-
-    def serial_scan(member: _BatchMember) -> None:
+    def serial_scan(member: _Member) -> None:
         """One member's scan on the serial path, warm chain isolated."""
         scan = member.session.n_scans
         context = shared_context if member.shares_context else None
-        with harness(member):
+        with member.telemetry or nullcontext():
             if context is not None:
                 context.last_solution = member.warm_mem
             try:
                 result = member.session.process(member.request.scans[scan])
+                member.outcomes.append(outcome_from_result(scan, result))
+                dump_flight(member, "scan", scan=scan)
             except Exception as exc:  # noqa: BLE001 - member isolation boundary
                 fail(member, exc)
-                return
             finally:
                 if context is not None:
                     member.warm_mem = context.last_solution
                     context.last_solution = None
-        member.outcomes.append(outcome_from_result(scan, result))
-        member.flight_dump = _spool_flight(
-            member.telemetry,
-            member.spool,
-            "scan",
-            case_id=member.request.case_id,
-            scan=scan,
-        )
 
     # -- lockstep scan rounds ------------------------------------------------
-    def live() -> list[_BatchMember]:
+    def live() -> list[_Member]:
         return [m for m in members if m.result is None]
 
     while any(m.remaining > 0 for m in live()):
         if beat is not None:
+            # Liveness beat between scans: a wedged worker stops
+            # beating, which is how the parent tells "long solve" from
+            # "hung" without killing legitimate work.
             beat()
         if drain_event.is_set():
             for member in live():
-                with harness(member):
-                    root = member.session.checkpoint(
-                        None
-                        if member.session.store is not None
-                        else str(Path(drain_dir) / member.request.case_id)
-                    )
-                member.flight_dump = _spool_flight(
-                    member.telemetry,
-                    member.spool,
-                    "drain",
-                    case_id=member.request.case_id,
-                    scan=member.session.n_scans,
-                )
+                try:
+                    with member.telemetry or nullcontext():
+                        root = member.session.checkpoint(
+                            None
+                            if member.session.store is not None
+                            else str(Path(drain_dir) / member.request.case_id)
+                        )
+                except Exception as exc:  # noqa: BLE001 - member isolation boundary
+                    fail(member, exc)
+                    continue
+                scan = member.session.n_scans
+                dump_flight(member, "drain", scan=scan)
                 finish(
                     member,
-                    CaseResult(
-                        case_id=member.request.case_id,
-                        status=STATUS_DRAINED,
-                        detail=(
-                            f"drained after scan {member.session.n_scans - 1}"
-                            f" -> {root}"
-                        ),
-                        worker=worker_id,
-                        scans=member.outcomes,
-                        service_seconds=time.perf_counter() - member.t_start,
-                        preop_cache_hit=member.cache_hit,
-                        preop_seconds=member.preop_seconds,
-                        checkpoint=str(root),
-                    ),
+                    STATUS_DRAINED,
+                    f"drained after scan {scan - 1} -> {root}",
+                    str(root),
                 )
             break
         # Member deadline eviction between rounds: only the expired
         # member leaves; the rest of the batch keeps solving.
         now = time.monotonic()
-        for member, deadline in zip(members, batch.deadline_monotonics):
+        for member, deadline in zip(members, deadline_monotonics):
             if member.result is not None or deadline is None or now <= deadline:
                 continue
-            member.flight_dump = _spool_flight(
-                member.telemetry,
-                member.spool,
-                "deadline eviction",
-                case_id=member.request.case_id,
-                scan=member.session.n_scans,
-            )
+            scan = member.session.n_scans
+            dump_flight(member, "deadline eviction", scan=scan)
             finish(
                 member,
-                CaseResult(
-                    case_id=member.request.case_id,
-                    status=STATUS_EVICTED,
-                    detail=(
-                        f"deadline {member.request.deadline_s:.1f} s expired "
-                        f"mid-batch after scan {member.session.n_scans - 1}"
-                    ),
-                    worker=worker_id,
-                    scans=member.outcomes,
-                    service_seconds=time.perf_counter() - member.t_start,
-                    preop_cache_hit=member.cache_hit,
-                    preop_seconds=member.preop_seconds,
-                    checkpoint=member.request.checkpoint_dir,
-                ),
+                STATUS_EVICTED,
+                f"deadline {member.request.deadline_s:.1f} s expired "
+                f"mid-batch after scan {scan - 1}",
+                member.request.checkpoint_dir,
             )
         joint = [m for m in live() if not m.serial and m.remaining > 0]
         if len(joint) >= 2:
@@ -607,7 +411,7 @@ def _serve_batch(
             ]
             scans = [m.session.n_scans for m in joint]
             try:
-                with harness(lead):
+                with lead.telemetry or nullcontext():
                     round_results = process_batch_round(
                         entries,
                         x0s=[m.x0 if m.warm_start else None for m in joint],
@@ -630,13 +434,7 @@ def _serve_batch(
                     continue
                 member.outcomes.append(outcome_from_result(scan, result))
                 member.x0 = batch_warm_vector(result)
-                member.flight_dump = _spool_flight(
-                    member.telemetry,
-                    member.spool,
-                    "scan",
-                    case_id=member.request.case_id,
-                    scan=scan,
-                )
+                dump_flight(member, "scan", scan=scan)
         elif joint:
             # One joint member left: the serial path, bit-identical to
             # an uncoalesced dispatch (its explicit chain carries on).
@@ -651,9 +449,9 @@ def _serve_batch(
                 serial_scan(member)
 
     # -- terminal results ----------------------------------------------------
-    for member in members:
-        if member.result is not None:
-            continue
+    for member in live():
+        # Healthy scans still carry the "full-fem" label; only deeper
+        # rungs count as degraded.
         degraded = sorted(
             {
                 o.degradation
@@ -663,17 +461,9 @@ def _serve_batch(
         )
         finish(
             member,
-            CaseResult(
-                case_id=member.request.case_id,
-                status=STATUS_DEGRADED if degraded else STATUS_COMPLETED,
-                detail="ok" if not degraded else "degraded: " + ", ".join(degraded),
-                worker=worker_id,
-                scans=member.outcomes,
-                service_seconds=time.perf_counter() - member.t_start,
-                preop_cache_hit=member.cache_hit,
-                preop_seconds=member.preop_seconds,
-                checkpoint=member.request.checkpoint_dir,
-            ),
+            STATUS_DEGRADED if degraded else STATUS_COMPLETED,
+            "ok" if not degraded else "degraded: " + ", ".join(degraded),
+            member.request.checkpoint_dir,
         )
     return [member.result for member in members]
 
@@ -690,7 +480,7 @@ def _worker_main(
 
     Idle workers emit a heartbeat on the result queue every
     ``heartbeat_s``; busy workers beat between scans (see
-    :func:`_serve_case`), so a stalled heartbeat on a busy worker means
+    :func:`_serve_batch`), so a stalled heartbeat on a busy worker means
     wedged, not working. Two injectable degradations support chaos
     drills: ``("hang",)`` wedges the worker (alive, silent, never
     returns), ``("slow", seconds)`` adds per-case latency.
@@ -728,20 +518,42 @@ def _worker_main(
             beat()
             request = message[1]
             if isinstance(request, BatchRequest):
-                # One message for the whole batch: the parent frees the
-                # worker on the first non-heartbeat message it sees, so
-                # member results must travel together.
-                batch_results = _serve_batch(
-                    request, preop_cache, drain_event, drain_dir, worker_id,
-                    beat=beat,
-                )
-                result_queue.put(("batch", worker_id, batch_results))
+                members = request.members
+                batch_id, deadlines = request.batch_id, request.deadline_monotonics
             else:
-                result = _serve_case(
-                    request, preop_cache, drain_event, drain_dir, worker_id,
-                    beat=beat,
-                )
-                result_queue.put(("result", worker_id, result))
+                # A lone case: no batch id and no worker-side deadline
+                # (the parent evicts it by terminating the worker).
+                members, batch_id, deadlines = [request], None, [None]
+            results = _serve_batch(
+                members,
+                batch_id,
+                deadlines,
+                preop_cache,
+                drain_event,
+                drain_dir,
+                worker_id,
+                beat=beat,
+            )
+            # One message per dispatch: the parent frees the worker on
+            # the first non-heartbeat message it sees, so batch members'
+            # results must travel together.
+            result_queue.put(("results", worker_id, results))
+
+
+def _retire(handle: WorkerHandle) -> None:
+    """Release an exited worker's task queue so its feeder thread ends.
+
+    A worker that died or was wedged never read what was sent to it; a
+    request too large for the pipe then blocks the queue's feeder thread
+    for good, so the parent reads the leftovers before closing. Safe to
+    call twice (a closed queue refuses the read).
+    """
+    try:
+        while True:
+            handle.task_queue.get_nowait()
+    except (queue_module.Empty, ValueError):
+        pass
+    handle.task_queue.close()
 
 
 @dataclass
@@ -892,6 +704,8 @@ class SessionWorkerPool:
                 handle.process.join(timeout=2.0)
                 if handle.process.is_alive():
                     handle.process.terminate()
+                    handle.process.join(timeout=2.0)
+                _retire(handle)
                 return handle.worker_id
         return None
 
@@ -943,12 +757,7 @@ class SessionWorkerPool:
                 handle.busy_since = None
                 handle.busy_deadline = None
             self._crash_counts.pop(worker_id, None)
-            if tag == "batch":
-                # A coalesced dispatch returns every member's result in
-                # one message (the worker went idle exactly once).
-                results.extend(message[2])
-            else:
-                results.append(message[2])
+            results.extend(message[2])
         return results
 
     # -- failure handling ----------------------------------------------------
@@ -985,6 +794,7 @@ class SessionWorkerPool:
             self.deaths += 1
             interrupted.append((handle.worker_id, handle.busy))
             handle.process.join(timeout=1.0)
+            _retire(handle)
             self.workers.remove(handle)
             self.heartbeats.pop(handle.worker_id, None)
             crashes = self._crash_counts.get(handle.worker_id, 0) + 1
@@ -1048,6 +858,7 @@ class SessionWorkerPool:
         if handle.alive:
             handle.process.terminate()
             handle.process.join(timeout=5.0)
+        _retire(handle)
         self.workers.remove(handle)
         self.workers.append(self._spawn(worker_id))
         self.respawns += 1
@@ -1095,6 +906,7 @@ class SessionWorkerPool:
                 handle.process.kill()
         for handle in self.workers:
             handle.process.join(timeout=2.0)
+            _retire(handle)
         self.workers = []
         self.heartbeats.clear()
         self._respawn_due.clear()
@@ -1125,6 +937,8 @@ class SessionWorkerPool:
             results.extend(self.poll_results(timeout=0.1))
         for handle in self.workers:
             handle.process.join(timeout=max(0.0, deadline - time.monotonic()))
+            if not handle.alive:
+                _retire(handle)
         return results
 
     def shutdown(self) -> None:
@@ -1137,3 +951,4 @@ class SessionWorkerPool:
             if handle.alive:
                 handle.process.terminate()
                 handle.process.join(timeout=2.0)
+            _retire(handle)

@@ -86,8 +86,9 @@ class CaseRequest:
         serves the case dark (no per-case instrumentation).
     flight_dir:
         Directory where the worker persists its flight-recorder ring
-        (``worker-<id>.json``, atomically, after every scan and on
-        faults) so even a killed worker leaves a post-mortem on disk.
+        (``<lane>.json``, named by the trace context's process label,
+        atomically, after every scan and on faults) so even a killed
+        worker leaves a post-mortem on disk.
     shed_level:
         Load-shedding floor stamped by the gateway under overload: the
         integer value of a :class:`repro.resilience.DegradationLevel`

@@ -6,6 +6,10 @@ runtime; tests must not mutate these objects (copy first).
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -51,3 +55,34 @@ def medium_mesher(medium_case):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+#: How long a finished test's threads and child processes get to exit
+#: (feeder threads flush, terminated workers are reaped) before they
+#: count as leaked.
+LEAK_GRACE_S = 2.0
+
+
+@pytest.fixture()
+def no_leaks():
+    """Fail the test when it leaves new threads or child processes alive.
+
+    Serving tests start worker processes, queue feeder threads, event
+    loops and socket servers; every one must be stopped by the time the
+    test returns. Apply with ``pytestmark = pytest.mark.usefixtures("no_leaks")``.
+    """
+    threads_before = set(threading.enumerate())
+    children_before = set(multiprocessing.active_children())
+    yield
+    deadline = time.monotonic() + LEAK_GRACE_S
+    while True:
+        threads = [t for t in threading.enumerate() if t not in threads_before]
+        # active_children() also reaps children that already exited.
+        children = [
+            p for p in multiprocessing.active_children() if p not in children_before
+        ]
+        if not (threads or children) or time.monotonic() >= deadline:
+            break
+        time.sleep(0.05)
+    assert not threads, f"test leaked threads: {[t.name for t in threads]}"
+    assert not children, f"test leaked child processes: {[p.name for p in children]}"

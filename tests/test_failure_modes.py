@@ -138,12 +138,12 @@ class TestInconsistentGeometry:
 
 
 class TestFailFastWithoutResilience:
-    """``resilience.enabled = False`` restores the loud, precise pipeline."""
+    """The fail-fast resilience policy gives the loud, precise pipeline."""
 
     def test_nonfinite_scan_rejected_outright(self, small_case):
         from repro.core.config import PipelineConfig
         from repro.core.pipeline import IntraoperativePipeline
-        from repro.resilience import FaultPlan
+        from repro.resilience import FaultPlan, ResiliencePolicy
 
         config = PipelineConfig(
             mesh_cell_mm=9.0,
@@ -152,13 +152,56 @@ class TestFailFastWithoutResilience:
             rigid_samples=2000,
             fault_plan=FaultPlan.parse("0:scan-nan=0.1", seed=0),
         )
-        config.resilience.enabled = False
+        config.resilience = ResiliencePolicy(
+            max_degradation="full-fem", sanitize_inputs=False, stage_retries={}
+        )
         pipeline = IntraoperativePipeline(config)
         preop = pipeline.prepare_preoperative(
             small_case.preop_mri, small_case.preop_labels
         )
         with pytest.raises(ValidationError, match="non-finite"):
             pipeline.process_scan(small_case.intraop_mri, preop)
+
+    def test_stagnating_solve_raises_instead_of_degrading(self, small_case):
+        from repro.core.config import PipelineConfig
+        from repro.core.pipeline import IntraoperativePipeline
+        from repro.resilience import FaultPlan, ResiliencePolicy
+        from repro.util import ConvergenceError
+
+        config = PipelineConfig(
+            mesh_cell_mm=9.0,
+            rigid_levels=1,
+            rigid_max_iter=2,
+            rigid_samples=2000,
+            fault_plan=FaultPlan.parse("0:stagnate-solver", seed=0),
+            resilience=ResiliencePolicy(
+                max_degradation="full-fem", sanitize_inputs=False, stage_retries={}
+            ),
+        )
+        pipeline = IntraoperativePipeline(config)
+        preop = pipeline.prepare_preoperative(
+            small_case.preop_mri, small_case.preop_labels
+        )
+        with pytest.raises(ConvergenceError, match="exhausted"):
+            pipeline.process_scan(small_case.intraop_mri, preop)
+
+    def test_old_manifest_switch_loads_fail_fast_policy(self):
+        from repro.persist.checkpoint import config_from_manifest
+        from repro.resilience.policy import DegradationLevel
+
+        config = config_from_manifest(
+            {"resilience": {"enabled": False, "max_degradation": 3, "min_degradation": 0}}
+        )
+        policy = config.resilience
+        assert policy.max_degradation == DegradationLevel.FULL_FEM
+        assert policy.min_degradation == DegradationLevel.FULL_FEM
+        assert not policy.sanitize_inputs
+        assert policy.stage_retries == {}
+        resilient = config_from_manifest(
+            {"resilience": {"enabled": True, "max_degradation": 3, "min_degradation": 0}}
+        )
+        assert resilient.resilience.max_degradation == DegradationLevel.RIGID_ONLY
+        assert resilient.resilience.sanitize_inputs
 
     def test_volume_sanitized_reports_fill_count(self):
         data = np.ones((4, 4, 4))

@@ -30,6 +30,8 @@ from repro.serving import (
     ShardGateway,
 )
 
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
 SHAPE = (16, 16, 12)
 CELL_MM = 8.0
 

@@ -34,6 +34,8 @@ from repro.serving import (
 from repro.serving.bench import run_serial
 from repro.util import ValidationError
 
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
 SHAPE = (24, 24, 16)
 CELL_MM = 8.0
 

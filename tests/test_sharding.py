@@ -43,6 +43,8 @@ from repro.serving import (
 from repro.serving.bench import run_serial
 from repro.util import ValidationError
 
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
 SHAPE = (24, 24, 16)
 CELL_MM = 8.0
 
@@ -545,6 +547,93 @@ class TestShardGateway:
             gateway.shutdown()
         with pytest.raises(ValidationError, match="shut down"):
             gateway.submit(make_request(patient, intraop_scans[:1], case_id="late"))
+
+
+# -- gateway flight-recorder post-mortems ------------------------------------
+
+
+class TestGatewayFlightDumps:
+    @pytest.mark.faults
+    @pytest.mark.persistence
+    def test_killed_worker_leaves_flight_dump_and_annotated_span(
+        self, patient, intraop_scans, tmp_path
+    ):
+        from repro.obs import load_flight_dump
+        from repro.resilience import FaultPlan
+
+        config = PipelineConfig(mesh_cell_mm=CELL_MM)
+        config.fault_plan = FaultPlan.parse("1:crash-after=solve", seed=0)
+        request = make_request(
+            patient,
+            intraop_scans,
+            case_id="lost",
+            config=config,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+        )
+        gateway = ShardGateway(n_shards=1, workers_per_shard=1, max_attempts=1)
+        try:
+            assert gateway.submit(request) is None
+            results = gateway.run()
+        finally:
+            gateway.shutdown()
+        result = results["lost"]
+        assert result.status == "failed"
+        assert "died" in result.detail
+        assert result.worker == 0
+
+        assert gateway.metrics.value("telemetry.frames_lost") == 1
+        (case_span,) = [
+            s for s in gateway.tracer.finished() if s.name == "serve.case"
+        ]
+        assert case_span.attrs["telemetry_lost"] is True
+        assert case_span.attrs["status"] == "failed"
+        assert "worker.death" in {name for _, name, _ in case_span.events}
+
+        # Scan 0 spooled the worker's flight ring before the kill: the
+        # failed result points at that post-mortem on disk.
+        assert result.flight_dump is not None
+        payload = load_flight_dump(result.flight_dump)
+        assert payload["label"] == "shard0-worker0"
+        assert "scan.complete" in [e["kind"] for e in payload["entries"]]
+        gateway_dump = Path(gateway.flight_dir) / "gateway.json"
+        assert "worker.death" in [
+            e["kind"] for e in load_flight_dump(gateway_dump)["entries"]
+        ]
+
+    def test_worker_spools_are_per_shard(self, patient, intraop_scans):
+        from repro.obs import load_flight_dump
+
+        gateway = ShardGateway(n_shards=2, workers_per_shard=1)
+        # Both shards number their worker 0; pick two configs (distinct
+        # patient-model keys) that the ring sends to different shards.
+        by_shard = {}
+        for seed in range(64):
+            request = make_request(
+                patient,
+                intraop_scans[:1],
+                case_id=f"seed-{seed}",
+                config=PipelineConfig(mesh_cell_mm=CELL_MM, seed=seed),
+            )
+            by_shard.setdefault(gateway.ring.route(request.preop_key()), request)
+            if len(by_shard) == 2:
+                break
+        assert sorted(by_shard) == [0, 1]
+        try:
+            for request in by_shard.values():
+                assert gateway.submit(request) is None
+            results = gateway.run()
+        finally:
+            gateway.shutdown()
+        dumps = set()
+        for shard_id, request in by_shard.items():
+            result = results[request.case_id]
+            assert result.ok, result.detail
+            assert result.flight_dump is not None
+            payload = load_flight_dump(result.flight_dump)
+            assert payload["label"] == f"shard{shard_id}-worker0"
+            assert payload["context"]["case_id"] == request.case_id
+            dumps.add(result.flight_dump)
+        assert len(dumps) == 2
 
 
 # -- drain-timeout stragglers ------------------------------------------------

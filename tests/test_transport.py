@@ -52,6 +52,8 @@ from repro.serving.transport import (
 )
 from repro.util import ValidationError
 
+pytestmark = pytest.mark.usefixtures("no_leaks")
+
 SHAPE = (16, 16, 12)
 
 
